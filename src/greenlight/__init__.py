@@ -57,7 +57,6 @@ from .neural import (
     ShapeError,
     TrainingError,
     adam_step,
-    dense_net_gradient_check,
     gradient_check,
     load_checkpoint,
     save_checkpoint,
@@ -71,7 +70,6 @@ from .agent import (
     StateMode,
     bellman_targets,
     compute_reward,
-    discounted_return,
     encode_state,
     greedy_controller,
     select_action,

@@ -29,13 +29,10 @@ from .core import ConfigError, IntersectionConfig, NetworkConfig, Vehicle
 from .neural import (
     AdamState,
     DenseNet,
+    Layer,
     TrainingError,
-    adam_state_arrays,
-    adam_state_from,
     adam_step,
     load_checkpoint,
-    net_from_state,
-    net_state_arrays,
     save_checkpoint,
 )
 from .sim import (
@@ -208,22 +205,18 @@ def compute_reward(measures: "LaneMeasures | np.ndarray", mode: RewardMode,
     raise ConfigError(f"reward_mode: unknown mode {mode!r}")
 
 
-def discounted_return(rewards: Sequence[float], gamma: float) -> float:
-    """Sum of gamma^b * R_{t+b+1} over the trace."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError("discounted_return: gamma must lie in [0, 1]")
-    total = 0.0
-    for r in reversed(list(rewards)):
-        total = r + gamma * total
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Q-network: shared trunk + per-phase heads
 
 
 class QNetwork:
-    """Shared embedding trunk routed through one output head per phase."""
+    """Shared embedding trunk routed through one output head per phase.
+
+    All parameters live in one flat float64 vector ``theta``: the trunk's
+    (weight, bias) per layer, then the head weights (K, 2, H), then the head
+    biases (K, 2).  ``trunk``, ``head_w`` and ``head_b`` are views into it,
+    so copying, syncing, optimizing and checkpointing act on ``theta`` alone.
+    """
 
     def __init__(self, input_dim: int, phase_count: int,
                  hidden_dims: Sequence[int] = (32, 32), *,
@@ -231,51 +224,83 @@ class QNetwork:
         if phase_count < 1:
             raise ConfigError("qnetwork: need at least one phase head")
         rng = rng if rng is not None else np.random.default_rng(0)
-        dims = [input_dim, *hidden_dims]
-        self.trunk = DenseNet.create(dims, ["relu"] * len(hidden_dims), rng)
-        self.heads = [
-            DenseNet.create([dims[-1], 2], ["identity"], rng)
-            for _ in range(phase_count)
-        ]
         self.input_dim = input_dim
         self.phase_count = phase_count
+        self.hidden_dims = tuple(hidden_dims)
+        dims = [input_dim, *self.hidden_dims]
+        trunk = DenseNet.create(dims, ["relu"] * len(self.hidden_dims), rng)
+        heads = [DenseNet.create([dims[-1], 2], ["identity"], rng).layers[0]
+                 for _ in range(phase_count)]
+        self._bind(np.concatenate(
+            [p.ravel() for p in trunk.parameters()]
+            + [h.weight.ravel() for h in heads] + [h.bias for h in heads]
+        ))
+
+    def _split(self, flat: np.ndarray
+               ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+        """Views into ``flat``: trunk (weight, bias) pairs, head weights, head biases."""
+        dims = [self.input_dim, *self.hidden_dims]
+        trunk, at = [], 0
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            weight = flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in)
+            at += weight.size
+            trunk.append((weight, flat[at:at + fan_out]))
+            at += fan_out
+        head_w = flat[at:at + 2 * self.phase_count * dims[-1]].reshape(
+            self.phase_count, 2, dims[-1])
+        return trunk, head_w, flat[at + head_w.size:].reshape(self.phase_count, 2)
+
+    def _listed(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views into ``flat`` in parameters() order."""
+        trunk, head_w, head_b = self._split(flat)
+        out = [a for pair in trunk for a in pair]
+        for k in range(self.phase_count):
+            out += [head_w[k], head_b[k]]
+        return out
+
+    def _bind(self, theta: np.ndarray) -> None:
+        trunk, self.head_w, self.head_b = self._split(theta)
+        self.theta = theta
+        self.trunk = DenseNet([Layer(w, b, "relu") for w, b in trunk])
+
+    # views do not survive pickling or deep copies; rebuild them on theta
+    def __getstate__(self) -> dict:
+        return {"input_dim": self.input_dim, "phase_count": self.phase_count,
+                "hidden_dims": self.hidden_dims, "theta": self.theta}
+
+    def __setstate__(self, state: dict) -> None:
+        self.input_dim = state["input_dim"]
+        self.phase_count = state["phase_count"]
+        self.hidden_dims = state["hidden_dims"]
+        self._bind(state["theta"])
 
     def parameters(self) -> list[np.ndarray]:
-        params = self.trunk.parameters()
-        for head in self.heads:
-            params.extend(head.parameters())
-        return params
+        """Live views: trunk w, b per layer, then head k's (2, H) and (2,) per k."""
+        return self._listed(self.theta)
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.theta.size
 
     def copy(self) -> "QNetwork":
         clone = object.__new__(QNetwork)
-        clone.trunk = self.trunk.copy()
-        clone.heads = [h.copy() for h in self.heads]
-        clone.input_dim = self.input_dim
-        clone.phase_count = self.phase_count
+        clone.__setstate__({**self.__getstate__(), "theta": self.theta.copy()})
         return clone
 
     def sync_from(self, other: "QNetwork") -> None:
-        self.trunk.load_parameters_from(other.trunk)
-        for mine, theirs in zip(self.heads, other.heads):
-            mine.load_parameters_from(theirs)
+        self.theta[...] = other.theta
 
     def q_values(self, encoded_state: np.ndarray, phase_index: int) -> np.ndarray:
         """[Q(s, keep), Q(s, change)] through the phase's head."""
         if not 0 <= phase_index < self.phase_count:
             raise ConfigError(f"qnetwork: phase index {phase_index} out of range")
         emb = self.trunk.predict(encoded_state)
-        return self.heads[phase_index].predict(emb)
+        return emb @ self.head_w[phase_index].T + self.head_b[phase_index]
 
     def q_batch(self, states: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        out = np.empty((len(states), 2))
-        for k in np.unique(phases):
-            idx = np.where(phases == k)[0]
-            emb = self.trunk.predict(states[idx])
-            out[idx] = self.heads[int(k)].predict(emb)
-        return out
+        emb = self.trunk.predict(states)
+        q = emb @ self.head_w.reshape(-1, emb.shape[1]).T
+        rows = np.arange(len(emb))
+        return q.reshape(len(emb), self.phase_count, 2)[rows, phases] + self.head_b[phases]
 
     def loss_and_grads(
         self,
@@ -283,39 +308,27 @@ class QNetwork:
         phases: np.ndarray,
         actions: np.ndarray,
         targets: np.ndarray,
-    ) -> tuple[float, list[np.ndarray], tuple]:
+    ) -> tuple[float, list[np.ndarray]]:
         """Mean squared error on the taken action's Q-value, plus gradients.
 
-        Gradients align with parameters(); heads absent from the batch get
-        zero gradient.  The returned relu pattern supports kink-skipping in
-        the finite-difference checker.
+        One trunk pass serves the whole batch; each row reads the head slot
+        (phase, action) it took.  Gradients are views, aligned with
+        parameters(), into one freshly allocated flat vector laid out like
+        ``theta``; heads absent from the batch get exactly zero gradient.
         """
-        params = self.parameters()
-        grads = [np.zeros_like(p) for p in params]
-        trunk_len = len(self.trunk.parameters())
-        head_len = len(self.heads[0].parameters())
-        batch = len(states)
-        loss_sum = 0.0
-        patterns = []
-        for k in np.unique(phases):
-            idx = np.where(phases == k)[0]
-            emb, trunk_cache = self.trunk.forward(states[idx])
-            q, head_cache = self.heads[int(k)].forward(emb)
-            rows = np.arange(len(idx))
-            taken = actions[idx].astype(int)
-            diff = q[rows, taken] - targets[idx]
-            loss_sum += float(diff @ diff)
-            dq = np.zeros_like(q)
-            dq[rows, taken] = 2.0 * diff / batch
-            head_grads, demb = self.heads[int(k)].backward(head_cache, dq)
-            trunk_grads, _ = self.trunk.backward(trunk_cache, demb)
-            for i, g in enumerate(trunk_grads):
-                grads[i] += g
-            offset = trunk_len + int(k) * head_len
-            for i, g in enumerate(head_grads):
-                grads[offset + i] += g
-            patterns.append((int(k), self.trunk.relu_pattern(trunk_cache)))
-        return loss_sum / batch, grads, tuple(patterns)
+        emb, cache = self.trunk.forward(states)
+        batch = len(emb)
+        rows = np.arange(batch)
+        slots = 2 * np.asarray(phases) + np.asarray(actions).astype(int)
+        head_w = self.head_w.reshape(-1, emb.shape[1])     # (2K, H)
+        diff = (emb @ head_w.T)[rows, slots] + self.head_b.reshape(-1)[slots] - targets
+        dq = np.zeros((batch, len(head_w)))
+        dq[rows, slots] = 2.0 * diff / batch
+        trunk_grads, _ = self.trunk.backward(cache, dq @ head_w)
+        grad = np.concatenate(
+            [g.ravel() for g in trunk_grads] + [(dq.T @ emb).ravel(), dq.sum(axis=0)]
+        )
+        return float(diff @ diff) / batch, self._listed(grad)
 
 
 def bellman_targets(target_net: QNetwork, rewards: np.ndarray,
@@ -429,9 +442,7 @@ class DQNAgent:
             self.config.hidden_dims, rng=self.init_rng,
         )
         self.target = self.qnet.copy()
-        self.adam = AdamState.for_parameters(
-            self.qnet.parameters(), self.config.learning_rate,
-        )
+        self.adam = AdamState.for_parameters(self.qnet.theta, self.config.learning_rate)
         self.memory = ReplayMemory(
             self.config.replay_capacity, self.state_dim,
             np.random.default_rng(seqs[2]),
@@ -509,12 +520,12 @@ class DQNAgent:
             self.target, batch.rewards, batch.next_states, batch.next_phases,
             cfg.gamma,
         )
-        loss, grads, _ = self.qnet.loss_and_grads(
+        loss, grads = self.qnet.loss_and_grads(
             batch.states, batch.phases, batch.actions, targets,
         )
         if not np.isfinite(loss):
             raise TrainingError(f"divergence: loss {loss} at learn step {self.learn_steps}")
-        adam_step(self.adam, self.qnet.parameters(), grads)
+        adam_step(self.adam, self.qnet.theta, grads[0].base)  # the views' flat gradient
         self.learn_steps += 1
         if self.learn_steps % cfg.target_sync_interval == 0:
             self.target.sync_from(self.qnet)
@@ -530,24 +541,15 @@ class DQNAgent:
 
     def save(self, path) -> None:
         """Checkpoint networks, optimizer, and schedule state (not replay)."""
-        arrays: dict[str, np.ndarray] = {}
-        meta: dict = {"kind": "dqn-agent", "agent_config": self.config.to_dict(),
-                      "seed": self.seed, "decision_steps": self.decision_steps,
-                      "learn_steps": self.learn_steps,
-                      "decay_steps": self._decay_steps}
-        a, m = net_state_arrays(self.qnet.trunk, "trunk")
-        arrays.update(a); meta["trunk"] = m
-        for i, head in enumerate(self.qnet.heads):
-            a, m = net_state_arrays(head, f"head{i}")
-            arrays.update(a); meta[f"head{i}"] = m
-        a, m = net_state_arrays(self.target.trunk, "target_trunk")
-        arrays.update(a); meta["target_trunk"] = m
-        for i, head in enumerate(self.target.heads):
-            a, m = net_state_arrays(head, f"target_head{i}")
-            arrays.update(a); meta[f"target_head{i}"] = m
-        a, m = adam_state_arrays(self.adam, "adam")
-        arrays.update(a); meta["adam"] = m
-        meta["phase_count"] = self.qnet.phase_count
+        adam = self.adam
+        meta = {"kind": "dqn-agent", "agent_config": self.config.to_dict(),
+                "seed": self.seed, "decision_steps": self.decision_steps,
+                "learn_steps": self.learn_steps, "decay_steps": self._decay_steps,
+                "adam": {"learning_rate": adam.learning_rate, "beta1": adam.beta1,
+                         "beta2": adam.beta2, "epsilon": adam.epsilon,
+                         "step_count": adam.step_count}}
+        arrays = {"qnet": self.qnet.theta, "target": self.target.theta,
+                  "adam.m": adam.m, "adam.v": adam.v}
         save_checkpoint(path, arrays, meta)
 
     @classmethod
@@ -557,17 +559,17 @@ class DQNAgent:
             raise ConfigError(f"checkpoint at {path} is not an agent checkpoint")
         agent = cls(intersection, AgentConfig.from_dict(meta["agent_config"]),
                     seed=meta["seed"])
-        agent.qnet.trunk = net_from_state(arrays, meta["trunk"], "trunk")
-        agent.qnet.heads = [
-            net_from_state(arrays, meta[f"head{i}"], f"head{i}")
-            for i in range(meta["phase_count"])
-        ]
-        agent.target.trunk = net_from_state(arrays, meta["target_trunk"], "target_trunk")
-        agent.target.heads = [
-            net_from_state(arrays, meta[f"target_head{i}"], f"target_head{i}")
-            for i in range(meta["phase_count"])
-        ]
-        agent.adam = adam_state_from(arrays, meta["adam"], "adam")
+        expected = agent.qnet.theta.shape
+        for key in ("qnet", "target", "adam.m", "adam.v"):
+            found = arrays[key].shape if key in arrays else "no array"
+            if found != expected:
+                raise ConfigError(
+                    f"checkpoint at {path}: {key!r} has shape {found}, but this "
+                    f"intersection's network has {expected[0]} parameters"
+                )
+        agent.qnet.theta[...] = arrays["qnet"]
+        agent.target.theta[...] = arrays["target"]
+        agent.adam = AdamState(**meta["adam"], m=arrays["adam.m"], v=arrays["adam.v"])
         agent.decision_steps = meta["decision_steps"]
         agent.learn_steps = meta["learn_steps"]
         agent._decay_steps = meta["decay_steps"]

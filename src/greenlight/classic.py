@@ -14,7 +14,6 @@ The pure timing/decision functions are module-level so they can be tested
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,8 +22,6 @@ import numpy as np
 
 from .core import ConfigError, IntersectionConfig
 from .sim import KEEP, CHANGE, BaseController, ControlContext, StepOutcome
-
-log = logging.getLogger(__name__)
 
 
 class OversaturatedError(RuntimeError):

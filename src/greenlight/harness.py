@@ -12,9 +12,9 @@ byte-for-byte.
 
 from __future__ import annotations
 
-import logging
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ from .agent import (
 from .classic import FixedTimeController, SotlController, WebsterController
 from .config import (
     ExperimentConfig,
-    build_agent_config,
     build_demand_fn,
     build_network,
     build_webster_params,
@@ -39,8 +38,6 @@ from .config import (
 from .core import ConfigError, NetworkConfig, Vehicle
 from .metrics import EpisodeMetrics, check_identity, compute_metrics, detect_convergence
 from .sim import Controller, EpisodeResult, run_episode
-
-log = logging.getLogger(__name__)
 
 RESULTS_HEADER = "controller,seed,episode,avg_travel_time_s,avg_queue,throughput,converged_at"
 
@@ -383,18 +380,14 @@ def gradcheck_qnetworks(count: int = 20, seed: int = 0,
         phases = rng.integers(0, phase_count, size=batch)
         actions = rng.integers(0, 2, size=batch)
         targets = rng.normal(size=batch)
-        pattern_holder: dict = {}
 
-        def loss_and_grads(qnet=qnet, states=states, phases=phases,
-                           actions=actions, targets=targets,
-                           holder=pattern_holder):
-            loss, grads, pattern = qnet.loss_and_grads(states, phases, actions, targets)
-            holder["p"] = pattern
-            return loss, grads
+        def relu_pattern(trunk=qnet.trunk, states=states):
+            return trunk.relu_pattern(trunk.forward(states)[1])
 
         results.append(gradient_check(
-            qnet.parameters(), loss_and_grads,
+            qnet.parameters(),
+            partial(qnet.loss_and_grads, states, phases, actions, targets),
             rng=np.random.default_rng(rng.integers(2**31)),
-            relu_pattern=lambda holder=pattern_holder: holder["p"],
+            relu_pattern=relu_pattern,
         ))
     return results

@@ -96,17 +96,6 @@ class DenseNet:
             out.append(l.bias)
         return out
 
-    def copy(self) -> "DenseNet":
-        return DenseNet(
-            [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
-
-    def load_parameters_from(self, other: "DenseNet") -> None:
-        for mine, theirs in zip(self.parameters(), other.parameters()):
-            if mine.shape != theirs.shape:
-                raise ShapeError("parameter shapes differ between networks")
-            mine[...] = theirs
-
     # -- forward / backward --------------------------------------------------
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -161,20 +150,6 @@ class DenseNet:
             g = g @ layer.weight
         return grads, (g[0] if cache.squeezed else g)
 
-    # -- losses --------------------------------------------------------------
-
-    def mse_loss_and_grads(self, x: np.ndarray, y: np.ndarray
-                           ) -> tuple[float, list[np.ndarray]]:
-        """Mean squared error over all outputs; gradients for parameters()."""
-        out, cache = self.forward(x)
-        y = np.asarray(y, dtype=float)
-        if out.shape != y.shape:
-            raise ShapeError(f"target shape {y.shape} vs output {out.shape}")
-        diff = out - y
-        loss = float(np.mean(diff * diff))
-        grads, _ = self.backward(cache, 2.0 * diff / diff.size)
-        return loss, grads
-
 
 # ---------------------------------------------------------------------------
 # optimizer
@@ -182,47 +157,43 @@ class DenseNet:
 
 @dataclass
 class AdamState:
-    """Adaptive-moment optimizer state mirroring a parameter list."""
+    """Adaptive-moment optimizer state for one flat parameter vector."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
-    def for_parameters(cls, parameters: Sequence[np.ndarray],
+    def for_parameters(cls, parameters: np.ndarray,
                        learning_rate: float = 1e-3) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            m=[np.zeros_like(p) for p in parameters],
-            v=[np.zeros_like(p) for p in parameters],
+        return cls(learning_rate=learning_rate,
+                   m=np.zeros_like(parameters), v=np.zeros_like(parameters))
+
+
+def adam_step(state: AdamState, parameters: np.ndarray,
+              gradients: np.ndarray) -> None:
+    """One bias-corrected adaptive-moment update of a flat vector, in place."""
+    if parameters.shape != state.m.shape or gradients.shape != parameters.shape:
+        raise ShapeError(
+            f"gradient {gradients.shape} and optimizer state {state.m.shape} "
+            f"must match parameters {parameters.shape}"
         )
-
-
-def adam_step(state: AdamState, parameters: Sequence[np.ndarray],
-              gradients: Sequence[np.ndarray]) -> None:
-    """One bias-corrected adaptive-moment update, in place."""
-    if len(parameters) != len(state.m) or len(parameters) != len(gradients):
-        raise ShapeError("optimizer state does not match parameter list")
-    state.step_count += 1
-    t = state.step_count
-    correction1 = 1.0 - state.beta1 ** t
-    correction2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(parameters, gradients, state.m, state.v):
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} vs parameter {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(
-                f"non-finite gradient (|g|_max={np.max(np.abs(g))}) at step {t}"
-            )
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    t = state.step_count + 1
+    if not np.isfinite(gradients).all():
+        raise TrainingError(
+            f"non-finite gradient (|g|_max={np.max(np.abs(gradients))}) at step {t}"
+        )
+    state.step_count = t
+    m, v = state.m, state.v
+    m[...] = state.beta1 * m + (1.0 - state.beta1) * gradients
+    v[...] = state.beta2 * v + (1.0 - state.beta2) * gradients * gradients
+    m_hat = m / (1.0 - state.beta1 ** t)
+    v_hat = v / (1.0 - state.beta2 ** t)
+    parameters -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -291,77 +262,11 @@ def gradient_check(
     return GradCheckResult(max_err, checked, skipped, worst)
 
 
-def dense_net_gradient_check(net: DenseNet, x: np.ndarray, y: np.ndarray,
-                             **kwargs) -> GradCheckResult:
-    """Convenience wrapper checking a network's MSE gradients on one batch."""
-    pattern_holder: dict[str, object] = {}
-
-    def loss_and_grads() -> tuple[float, list[np.ndarray]]:
-        out, cache = net.forward(x)
-        diff = out - np.asarray(y, dtype=float)
-        loss = float(np.mean(diff * diff))
-        grads, _ = net.backward(cache, 2.0 * diff / diff.size)
-        pattern_holder["p"] = net.relu_pattern(cache)
-        return loss, grads
-
-    return gradient_check(
-        net.parameters(), loss_and_grads,
-        relu_pattern=lambda: pattern_holder["p"], **kwargs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
 
-CHECKPOINT_VERSION = 1
-
-
-def net_state_arrays(net: DenseNet, prefix: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Flatten a network into named arrays plus JSON-able metadata."""
-    arrays = {}
-    for i, layer in enumerate(net.layers):
-        arrays[f"{prefix}.w{i}"] = layer.weight
-        arrays[f"{prefix}.b{i}"] = layer.bias
-    meta = {"layers": len(net.layers),
-            "activations": [l.activation for l in net.layers]}
-    return arrays, meta
-
-
-def net_from_state(arrays: dict[str, np.ndarray], meta: dict, prefix: str) -> DenseNet:
-    layers = []
-    for i, act in enumerate(meta["activations"]):
-        layers.append(Layer(arrays[f"{prefix}.w{i}"].copy(),
-                            arrays[f"{prefix}.b{i}"].copy(), act))
-    return DenseNet(layers)
-
-
-def adam_state_arrays(state: AdamState, prefix: str) -> tuple[dict[str, np.ndarray], dict]:
-    arrays = {}
-    for i, (m, v) in enumerate(zip(state.m, state.v)):
-        arrays[f"{prefix}.m{i}"] = m
-        arrays[f"{prefix}.v{i}"] = v
-    meta = {
-        "count": len(state.m),
-        "learning_rate": state.learning_rate,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "epsilon": state.epsilon,
-        "step_count": state.step_count,
-    }
-    return arrays, meta
-
-
-def adam_state_from(arrays: dict[str, np.ndarray], meta: dict, prefix: str) -> AdamState:
-    return AdamState(
-        learning_rate=meta["learning_rate"],
-        beta1=meta["beta1"],
-        beta2=meta["beta2"],
-        epsilon=meta["epsilon"],
-        step_count=meta["step_count"],
-        m=[arrays[f"{prefix}.m{i}"].copy() for i in range(meta["count"])],
-        v=[arrays[f"{prefix}.v{i}"].copy() for i in range(meta["count"])],
-    )
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
@@ -379,5 +284,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
     if meta.get("version") != CHECKPOINT_VERSION:
-        raise TrainingError(f"unsupported checkpoint version {meta.get('version')}")
+        raise TrainingError(
+            f"unsupported checkpoint version {meta.get('version')} at {path}; "
+            f"this build reads version {CHECKPOINT_VERSION} only"
+        )
     return arrays, meta

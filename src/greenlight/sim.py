@@ -154,7 +154,6 @@ class SimState:
     pending_phase_index: int | None
     transition_countdown_s: int
     green_elapsed_s: int
-    rng_seed: int
     ignored_actions: int
 
 
@@ -211,7 +210,7 @@ class IntersectionSim:
     must build distinct instances.
     """
 
-    def __init__(self, config: IntersectionConfig, *, seed: int = 0,
+    def __init__(self, config: IntersectionConfig, *,
                  vehicle_spacing_m: float = 7.5) -> None:
         config.validate()
         self.config = config
@@ -231,7 +230,6 @@ class IntersectionSim:
             pending_phase_index=None,
             transition_countdown_s=0,
             green_elapsed_s=0,
-            rng_seed=seed,
             ignored_actions=0,
         )
 
@@ -470,8 +468,19 @@ def run_episode(
     if len(controllers) != n:
         raise ConfigError(f"controllers: expected {n} controllers, got {len(controllers)}")
     validate_demand(network, demand)
+    # A next hop is scheduled at departure step + link time; it must land on a
+    # later step, or the intersection may already have simulated it.  Rounding
+    # absorbs the most of a tiny link time at the last step, so test there.
+    last = horizon_s - 1
+    if (IntersectionSim.entry_step(last + network.link_travel_time_s) <= last
+            and any(len(veh.route) > 1 for veh in demand)):
+        raise ConfigError(
+            f"network_link: link_travel_time_s={network.link_travel_time_s} puts a "
+            f"vehicle's next hop in the step it departs, which is already simulated; "
+            f"multi-hop routes need a positive link time"
+        )
 
-    sims = [IntersectionSim(cfg, seed=seed + i) for i, cfg in enumerate(network.intersections)]
+    sims = [IntersectionSim(cfg) for cfg in network.intersections]
     route_pos: dict[int, int] = {}
     routes: dict[int, tuple[LaneId, ...]] = {}
     for veh in demand:

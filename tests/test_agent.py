@@ -1,5 +1,7 @@
 """Q-learning agent: encoding, rewards, network heads, replay, control loop."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from greenlight.agent import (
     CurvePoint,
     bellman_targets,
     compute_reward,
-    discounted_return,
     encode_state,
     greedy_controller,
     select_action,
@@ -33,6 +34,7 @@ from greenlight.core import (
     build_standard_intersection,
     single_intersection_network,
 )
+from greenlight.neural import TrainingError, load_checkpoint, save_checkpoint
 from greenlight.sim import CHANGE, KEEP, LaneMeasures, Observation, run_episode
 
 
@@ -55,10 +57,10 @@ def crafted_qnetwork() -> QNetwork:
     net = QNetwork(1, 2, hidden_dims=(1,), rng=np.random.default_rng(0))
     net.trunk.layers[0].weight[...] = [[1.0]]
     net.trunk.layers[0].bias[...] = 0.0
-    net.heads[0].layers[0].weight[...] = [[1.0], [2.0]]
-    net.heads[0].layers[0].bias[...] = [0.0, 0.0]
-    net.heads[1].layers[0].weight[...] = [[-1.0], [3.0]]
-    net.heads[1].layers[0].bias[...] = [0.5, 0.0]
+    net.head_w[0] = [[1.0], [2.0]]
+    net.head_b[0] = [0.0, 0.0]
+    net.head_w[1] = [[-1.0], [3.0]]
+    net.head_b[1] = [0.5, 0.0]
     return net
 
 
@@ -146,14 +148,6 @@ def test_reward_queue_mode_accepts_bare_vector():
         compute_reward(np.array([2, 3]), RewardMode.WAITING)
 
 
-def test_discounted_return_horner():
-    assert discounted_return([1.0, 2.0, 3.0], 0.5) == pytest.approx(2.75)
-    assert discounted_return([1.0, 2.0, 3.0], 0.0) == 1.0
-    assert discounted_return([], 0.9) == 0.0
-    with pytest.raises(ConfigError):
-        discounted_return([1.0], 1.5)
-
-
 # -- q-network ---------------------------------------------------------------
 
 
@@ -182,7 +176,7 @@ def test_loss_matches_ungrouped_recomputation():
     phases = np.array([0, 1])
     actions = np.array([0, 1])
     targets = np.array([0.0, 0.0])
-    loss, grads, _ = net.loss_and_grads(states, phases, actions, targets)
+    loss, grads = net.loss_and_grads(states, phases, actions, targets)
     # sample 0: Q=[1,2], taken 0 -> diff 1; sample 1: Q=[-1.5,6], taken 1 -> diff 6
     assert loss == pytest.approx((1.0 + 36.0) / 2.0)
     q = net.q_batch(states, phases)
@@ -196,7 +190,7 @@ def test_gradients_touch_only_present_heads():
     phases = np.array([0, 0])  # phase-1 head absent from the batch
     actions = np.array([0, 1])
     targets = np.array([0.0, 0.0])
-    _, grads, _ = net.loss_and_grads(states, phases, actions, targets)
+    _, grads = net.loss_and_grads(states, phases, actions, targets)
     # parameters(): trunk w,b then head0 w,b then head1 w,b
     assert not grads[4].any() and not grads[5].any()
     assert grads[2].any()
@@ -205,7 +199,7 @@ def test_gradients_touch_only_present_heads():
 def test_gradient_lands_on_taken_slot():
     net = crafted_qnetwork()
     # single sample, phase 0, action 0: diff = Q[0]-0 = 1, demb through slot 0
-    _, grads, _ = net.loss_and_grads(
+    _, grads = net.loss_and_grads(
         np.array([[1.0]]), np.array([0]), np.array([0]), np.array([0.0])
     )
     # head0 dW = dq.T @ emb with dq = [[2, 0]] and emb = [1]
@@ -218,8 +212,31 @@ def test_sync_from_copies_parameters():
     b = QNetwork(1, 2, hidden_dims=(1,), rng=np.random.default_rng(5))
     b.sync_from(a)
     assert b.q_values(np.array([1.0]), 1) == pytest.approx([-0.5, 3.0])
-    a.heads[1].layers[0].bias[0] = 99.0
+    a.head_b[1, 0] = 99.0
     assert b.q_values(np.array([1.0]), 1) == pytest.approx([-0.5, 3.0])
+
+
+def test_qnetwork_copy_is_independent():
+    net = crafted_qnetwork()
+    clone = net.copy()
+    clone.head_w[0, 0, 0] = 99.0
+    clone.trunk.layers[0].weight[0, 0] = 5.0
+    assert net.q_values(np.array([1.0]), 0) == pytest.approx([1.0, 2.0])
+    assert clone.q_values(np.array([1.0]), 0) == pytest.approx([495.0, 10.0])
+    net.sync_from(clone)
+    assert np.array_equal(net.theta, clone.theta)
+    assert net.q_values(np.array([1.0]), 0) == pytest.approx([495.0, 10.0])
+
+
+def test_theta_layout_is_trunk_then_head_weights_then_head_biases():
+    net = QNetwork(3, 4, hidden_dims=(5, 2), rng=np.random.default_rng(0))
+    params = net.parameters()
+    assert [p.shape for p in params] == [(5, 3), (5,), (2, 5), (2,)] + [(2, 2), (2,)] * 4
+    assert net.parameter_count() == net.theta.size == sum(p.size for p in params)
+    assert np.array_equal(net.head_w.ravel(), net.theta[-4 * 2 * 2 - 4 * 2:-4 * 2])
+    assert np.array_equal(net.head_b.ravel(), net.theta[-4 * 2:])
+    for p in params:
+        assert p.flags.c_contiguous and np.shares_memory(p, net.theta)
 
 
 # -- bellman targets ---------------------------------------------------------
@@ -368,17 +385,70 @@ def test_agent_save_load_round_trip(tmp_path):
     agent.save(path)
 
     twin = DQNAgent.load(path, inter)
+    # bit exact, not approx
+    assert np.array_equal(twin.qnet.theta, agent.qnet.theta)
+    assert np.array_equal(twin.target.theta, agent.target.theta)
+    assert np.array_equal(twin.adam.m, agent.adam.m)
+    assert np.array_equal(twin.adam.v, agent.adam.v)
     probe = np.linspace(-1, 1, agent.state_dim)
     for k in range(2):
-        assert twin.qnet.q_values(probe, k) == pytest.approx(
-            agent.qnet.q_values(probe, k)
-        )
-        assert twin.target.q_values(probe, k) == pytest.approx(
-            agent.target.q_values(probe, k)
-        )
+        assert np.array_equal(twin.qnet.q_values(probe, k), agent.qnet.q_values(probe, k))
+        assert np.array_equal(twin.target.q_values(probe, k), agent.target.q_values(probe, k))
     assert twin.decision_steps == 123
     assert twin.learn_steps == agent.learn_steps
-    assert twin.adam.step_count == agent.adam.step_count
+    hyper = ("learning_rate", "beta1", "beta2", "epsilon", "step_count")
+    assert [getattr(twin.adam, h) for h in hyper] == [getattr(agent.adam, h) for h in hyper]
+    with np.load(path) as data:
+        assert sorted(data.files) == ["__meta__", "adam.m", "adam.v", "qnet", "target"]
+
+
+def test_training_resumes_from_a_checkpoint_exactly(tmp_path):
+    inter = build_standard_intersection(2)
+    net = single_intersection_network(inter)
+    from greenlight.demand import generate_uniform
+
+    def demand_fn(episode):
+        return generate_uniform(400.0, list(inter.lanes), 150.0)
+
+    agent = DQNAgent(inter, AgentConfig(batch_size=8, target_sync_interval=50), seed=3)
+    train(agent, net, demand_fn, episodes=1, horizon_s=200)
+    agent.save(tmp_path / "agent.npz")
+    resumed = DQNAgent.load(tmp_path / "agent.npz", inter)
+    # replay memory and random streams are not checkpointed; hand them over
+    resumed.memory = copy.deepcopy(agent.memory)
+    resumed.action_rng = copy.deepcopy(agent.action_rng)
+
+    for a in (agent, resumed):
+        train(a, net, demand_fn, episodes=1, horizon_s=200, base_seed=1)
+    assert resumed.learn_steps == agent.learn_steps > 200
+    assert np.array_equal(resumed.qnet.theta, agent.qnet.theta)
+    assert np.array_equal(resumed.target.theta, agent.target.theta)
+    assert np.array_equal(resumed.adam.m, agent.adam.m)
+
+
+def test_load_rejects_version_1_checkpoint(tmp_path):
+    import json
+
+    meta = json.dumps({"version": 1, "kind": "dqn-agent"}).encode()
+    path = tmp_path / "v1.npz"
+    np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8),
+             **{"trunk.w0": np.zeros((32, 6)), "head0.w0": np.zeros((2, 32))})
+    with pytest.raises(TrainingError, match="version 1 "):
+        DQNAgent.load(path, build_standard_intersection(2))
+
+
+def test_load_rejects_theta_that_does_not_fit_the_intersection(tmp_path):
+    path = tmp_path / "agent.npz"
+    DQNAgent(build_standard_intersection(2), seed=0).save(path)
+    # four phases and more lanes need a larger network
+    with pytest.raises(ConfigError, match="'qnet' has shape"):
+        DQNAgent.load(path, build_standard_intersection(4))
+    # a truncated optimizer moment is caught the same way
+    arrays, meta = load_checkpoint(path)
+    arrays["adam.v"] = arrays["adam.v"][:-1]
+    save_checkpoint(path, arrays, {k: v for k, v in meta.items() if k != "version"})
+    with pytest.raises(ConfigError, match="'adam.v' has shape"):
+        DQNAgent.load(path, build_standard_intersection(2))
 
 
 # -- controller bridging -----------------------------------------------------
@@ -390,8 +460,7 @@ def zeroed_agent(bias_change: float = 0.0, **cfg_kwargs) -> DQNAgent:
     agent = DQNAgent(build_standard_intersection(2), cfg, seed=0)
     for p in agent.qnet.parameters():
         p[...] = 0.0
-    agent.qnet.heads[0].layers[0].bias[1] = bias_change
-    agent.qnet.heads[1].layers[0].bias[1] = bias_change
+    agent.qnet.head_b[:, 1] = bias_change
     return agent
 
 

@@ -9,20 +9,31 @@ from greenlight.neural import (
     Layer,
     ShapeError,
     TrainingError,
-    adam_state_arrays,
-    adam_state_from,
     adam_step,
-    dense_net_gradient_check,
     gradient_check,
     load_checkpoint,
-    net_from_state,
-    net_state_arrays,
     save_checkpoint,
 )
 
 
 def identity_net(weight: float = 1.0) -> DenseNet:
     return DenseNet([Layer(np.array([[weight]]), np.zeros(1), "identity")])
+
+
+def mse_loss_and_grads(net: DenseNet, x, y) -> tuple[float, list[np.ndarray]]:
+    """Mean squared error over all outputs; gradients for parameters()."""
+    out, cache = net.forward(x)
+    diff = out - np.asarray(y, dtype=float)
+    grads, _ = net.backward(cache, 2.0 * diff / diff.size)
+    return float(np.mean(diff * diff)), grads
+
+
+def mse_gradient_check(net: DenseNet, x, y, **kwargs):
+    """gradient_check on a network's MSE, skipping coordinates that cross a relu kink."""
+    return gradient_check(
+        net.parameters(), lambda: mse_loss_and_grads(net, x, y),
+        relu_pattern=lambda: net.relu_pattern(net.forward(x)[1]), **kwargs,
+    )
 
 
 # -- forward -----------------------------------------------------------------
@@ -78,22 +89,13 @@ def test_parameter_count_and_interleaving():
     assert shapes == [(8, 4), (8,), (2, 8), (2,)]
 
 
-def test_copy_is_independent():
-    net = identity_net(2.0)
-    clone = net.copy()
-    clone.layers[0].weight[0, 0] = 99.0
-    assert net.layers[0].weight[0, 0] == 2.0
-    net.load_parameters_from(clone)
-    assert net.layers[0].weight[0, 0] == 99.0
-
-
 # -- backward ----------------------------------------------------------------
 
 
 def test_scalar_mse_gradient_is_two():
     # w=1, x=1, y=0: loss=(w*x-y)^2=1, dL/dw = 2*x*(wx-y) = 2
     net = identity_net(1.0)
-    loss, grads = net.mse_loss_and_grads(np.array([1.0]), np.array([0.0]))
+    loss, grads = mse_loss_and_grads(net, np.array([1.0]), np.array([0.0]))
     assert loss == pytest.approx(1.0)
     assert grads[0].reshape(-1)[0] == pytest.approx(2.0)
     assert grads[1][0] == pytest.approx(2.0)  # bias grad identical here
@@ -103,7 +105,7 @@ def test_mse_gradient_scales_with_batch():
     net = identity_net(1.0)
     x = np.array([[1.0], [1.0]])
     y = np.array([[0.0], [0.0]])
-    loss, grads = net.mse_loss_and_grads(x, y)
+    loss, grads = mse_loss_and_grads(net, x, y)
     assert loss == pytest.approx(1.0)
     # mean over 2 samples: each contributes 2/2
     assert grads[0].reshape(-1)[0] == pytest.approx(2.0)
@@ -124,7 +126,7 @@ def test_gradient_check_passes_on_random_net():
     net = DenseNet.create([6, 12, 12, 2], ["relu", "relu", "identity"], rng)
     x = rng.normal(size=(8, 6))
     y = rng.normal(size=(8, 2))
-    result = dense_net_gradient_check(net, x, y, rng=np.random.default_rng(0))
+    result = mse_gradient_check(net, x, y, rng=np.random.default_rng(0))
     assert result.checked > 0
     assert result.max_rel_error < 1e-4
     assert result.passed
@@ -135,7 +137,7 @@ def test_gradient_check_catches_sign_flip():
     x, y = np.array([1.0]), np.array([0.0])
 
     def wrong_loss_and_grads():
-        loss, grads = net.mse_loss_and_grads(x, y)
+        loss, grads = mse_loss_and_grads(net, x, y)
         return loss, [-g for g in grads]  # sabotage: flipped sign
 
     result = gradient_check(net.parameters(), wrong_loss_and_grads)
@@ -151,7 +153,7 @@ def test_gradient_check_skips_relu_kinks():
         Layer(np.array([[1.0]]), np.zeros(1), "identity"),
     ])
     x, y = np.array([0.0]), np.array([1.0])
-    result = dense_net_gradient_check(net, x, y)
+    result = mse_gradient_check(net, x, y)
     assert result.skipped_kinks > 0
 
 
@@ -160,7 +162,7 @@ def test_gradient_check_subsamples_large_nets():
     net = DenseNet.create([10, 32, 32, 4], ["relu", "relu", "identity"], rng)
     x = rng.normal(size=(4, 10))
     y = rng.normal(size=(4, 4))
-    result = dense_net_gradient_check(net, x, y, max_checks=50)
+    result = mse_gradient_check(net, x, y, max_checks=50)
     assert result.checked + result.skipped_kinks == 50
 
 
@@ -169,44 +171,66 @@ def test_gradient_check_subsamples_large_nets():
 
 def test_adam_first_step_hand_value():
     # first step: m_hat = g, v_hat = g^2, so delta = lr * g/|g| = lr
-    params = [np.array([1.0])]
+    params = np.array([1.0, -1.0])
     state = AdamState.for_parameters(params, learning_rate=0.1)
-    adam_step(state, params, [np.array([0.5])])
-    assert params[0][0] == pytest.approx(0.9, rel=1e-6)
+    adam_step(state, params, np.array([0.5, -2.0]))
+    assert params == pytest.approx([0.9, -0.9], rel=1e-6)
     assert state.step_count == 1
 
 
 def test_adam_zero_gradient_is_a_noop():
-    params = [np.array([1.0, -2.0])]
+    params = np.array([1.0, -2.0])
     state = AdamState.for_parameters(params)
-    adam_step(state, params, [np.zeros(2)])
-    assert params[0].tolist() == [1.0, -2.0]
+    adam_step(state, params, np.zeros(2))
+    assert params.tolist() == [1.0, -2.0]
 
 
 def test_adam_rejects_non_finite_gradient():
-    params = [np.array([1.0])]
+    params = np.array([1.0, 2.0])
     state = AdamState.for_parameters(params)
     with pytest.raises(TrainingError):
-        adam_step(state, params, [np.array([np.nan])])
+        adam_step(state, params, np.array([0.5, np.nan]))
+    # one scan before any update: nothing moved, no step counted
+    assert params.tolist() == [1.0, 2.0]
+    assert state.step_count == 0 and not state.m.any()
 
 
 def test_adam_rejects_mismatched_shapes():
-    params = [np.array([1.0])]
+    params = np.array([1.0])
     state = AdamState.for_parameters(params)
     with pytest.raises(ShapeError):
-        adam_step(state, params, [np.zeros(2)])
+        adam_step(state, params, np.zeros(2))
     with pytest.raises(ShapeError):
-        adam_step(state, [np.zeros(1), np.zeros(1)], [np.zeros(1)])
+        adam_step(state, np.zeros(2), np.zeros(2))
 
 
 def test_adam_descends_quadratic():
     # minimize (w-3)^2 from w=0
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = AdamState.for_parameters(params, learning_rate=0.05)
     for _ in range(2000):
-        grad = 2.0 * (params[0] - 3.0)
-        adam_step(state, params, [grad])
-    assert params[0][0] == pytest.approx(3.0, abs=1e-3)
+        adam_step(state, params, 2.0 * (params - 3.0))
+    assert params[0] == pytest.approx(3.0, abs=1e-3)
+
+
+def test_adam_flat_update_matches_per_array_loop():
+    # the reference is the per-array form of the same update, one array at a time
+    rng = np.random.default_rng(4)
+    shapes = [(3, 2), (3,), (1, 3), (1,)]
+    arrays = [rng.normal(size=s) for s in shapes]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    state = AdamState.for_parameters(flat, learning_rate=0.01)
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        adam_step(state, flat, np.concatenate([g.ravel() for g in grads]))
+        for p, g, m, v in zip(arrays, grads, ms, vs):
+            m[...] = b1 * m + (1.0 - b1) * g
+            v[...] = b2 * v + (1.0 - b2) * g * g
+            p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -214,37 +238,27 @@ def test_adam_descends_quadratic():
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
-    net = DenseNet.create([4, 8, 2], ["relu", "identity"], rng)
-    adam = AdamState.for_parameters(net.parameters(), learning_rate=0.01)
-    adam_step(adam, net.parameters(), [rng.normal(size=p.shape) for p in net.parameters()])
-
-    arrays, meta = {}, {}
-    n_arrays, n_meta = net_state_arrays(net, "q")
-    a_arrays, a_meta = adam_state_arrays(adam, "opt")
-    arrays.update(n_arrays)
-    arrays.update(a_arrays)
-    meta["net"] = n_meta
-    meta["opt"] = a_meta
+    theta = rng.normal(size=50)
+    adam = AdamState.for_parameters(theta, learning_rate=0.01)
+    adam_step(adam, theta, rng.normal(size=theta.shape))
 
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, arrays, meta)
-    loaded_arrays, loaded_meta = load_checkpoint(path)
+    save_checkpoint(path, {"theta": theta, "adam.m": adam.m, "adam.v": adam.v},
+                    {"step_count": adam.step_count})
+    arrays, meta = load_checkpoint(path)
 
-    restored = net_from_state(loaded_arrays, loaded_meta["net"], "q")
-    for a, b in zip(net.parameters(), restored.parameters()):
-        assert np.array_equal(a, b)  # bit exact, not approx
-    restored_adam = adam_state_from(loaded_arrays, loaded_meta["opt"], "opt")
-    assert restored_adam.step_count == 1
-    assert restored_adam.learning_rate == 0.01
-    for a, b in zip(adam.m, restored_adam.m):
-        assert np.array_equal(a, b)
+    assert np.array_equal(arrays["theta"], theta)  # bit exact, not approx
+    assert np.array_equal(arrays["adam.m"], adam.m)
+    assert np.array_equal(arrays["adam.v"], adam.v)
+    assert meta["step_count"] == 1 and meta["version"] == 2
 
 
 def test_checkpoint_version_guard(tmp_path):
-    path = tmp_path / "bad.npz"
     import json
 
-    payload = {"__meta__": np.frombuffer(json.dumps({"version": 999}).encode(), dtype=np.uint8)}
-    np.savez(path, **payload)
-    with pytest.raises(TrainingError):
-        load_checkpoint(path)
+    for version in (1, 999):
+        path = tmp_path / f"v{version}.npz"
+        meta = json.dumps({"version": version}).encode()
+        np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8))
+        with pytest.raises(TrainingError, match=f"version {version} "):
+            load_checkpoint(path)

@@ -1,5 +1,6 @@
 """Step-rule oracles for the point-queue engine, traced by hand."""
 
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from greenlight.core import (
     build_standard_intersection,
     single_intersection_network,
 )
+from greenlight.classic import FixedTimeController
 from greenlight.sim import (
     CHANGE,
     KEEP,
@@ -328,6 +330,41 @@ def test_partial_route_is_not_a_network_departure():
     assert result.travel_logs[0].departed_count() == 1
     assert result.travel_logs[1].departed_count() == 0
     assert result.network_departures == 0
+
+
+def test_zero_link_time_with_multi_hop_routes_is_rejected_before_the_first_step():
+    # with a 0 s link, a vehicle leaving intersection 1 would be scheduled into
+    # the step intersection 0 has just simulated, and vanish from the episode
+    grid = build_grid_network(1, 2, build_standard_intersection(2))
+    route = (lane("ET", 1), lane("ET", 0))
+    demand = [Vehicle(i, 3.0 * i, route) for i in range(20)]
+    decisions = []
+
+    class Recording(FixedTimeController):
+        def decide(self, ctx):
+            decisions.append(ctx.clock_s)
+            return super().decide(ctx)
+
+    flat = dataclasses.replace(grid, link_travel_time_s=0.0)
+    with pytest.raises(ConfigError, match="link_travel_time_s"):
+        run_episode(flat, [Recording(), Recording()], demand, horizon_s=400)
+    assert decisions == []
+    # single-hop demand needs no link and still runs
+    run_episode(flat, [Recording(), Recording()], [Vehicle(0, 0.0, route[:1])], horizon_s=5)
+    assert len(decisions) == 10
+
+
+def test_sub_second_link_time_enters_on_the_next_step():
+    # entry at ceil(depart + link): every vehicle reaches intersection 0
+    net = dataclasses.replace(build_grid_network(1, 2, build_standard_intersection(2)),
+                              link_travel_time_s=0.5)
+    route = (lane("ET", 1), lane("ET", 0))
+    demand = [Vehicle(i, 3.0 * i, route) for i in range(20)]
+    result = run_episode(net, [FixedTimeController(), FixedTimeController()], demand,
+                         horizon_s=400)
+    first, second = result.travel_logs[1].records, result.travel_logs[0].records
+    assert result.network_departures == 20
+    assert all(second[v].entry_s == first[v].depart_s + 1 for v in range(20))
 
 
 def test_trace_csv_golden_rows():
