@@ -46,7 +46,6 @@ from .classic import (
     fixed_time_decide,
     sotl_decide,
     webster_cycle_length,
-    webster_delay,
     webster_phase_splits,
 )
 from .neural import (

@@ -456,8 +456,9 @@ class DQNAgent:
 
     def set_epsilon_horizon(self, total_training_steps: int,
                             fraction: float = 0.6) -> None:
-        """Resolve the linear epsilon ramp against a planned step budget."""
-        if self.config.epsilon_decay_steps is None:
+        """Resolve the linear epsilon ramp against a planned step budget,
+        unless the config or a loaded checkpoint already fixed it."""
+        if self._decay_steps is None:
             self._decay_steps = max(1, int(total_training_steps * fraction))
 
     @property

@@ -213,22 +213,6 @@ def discharge_capacity_vph(green_s: float, cycle_s: float, headway_s: float) -> 
     return math.floor(green_steps / headway_s + 1e-9) * 3600.0 / cycle_s
 
 
-def webster_delay(f_in_vph: float, u_sat_vph: float, red_interval_s: float) -> float:
-    """Deterministic-queue delay contribution f/(1 - f/u) * lambda.
-
-    Inputs in vehicles/hour; the returned value uses vehicles/second, i.e.
-    the hourly form divided by 3600.
-    """
-    if not 0 <= f_in_vph:
-        raise ConfigError("webster_delay: f_in must be >= 0")
-    if f_in_vph >= u_sat_vph:
-        raise OversaturatedError(
-            f"f_in {f_in_vph} vph >= saturation flow {u_sat_vph} vph"
-        )
-    f = f_in_vph / 3600.0
-    return f / (1.0 - f_in_vph / u_sat_vph) * red_interval_s
-
-
 def estimate_flows(
     counts: np.ndarray,
     green_masks: np.ndarray,

@@ -168,9 +168,6 @@ class IntersectionConfig:
         phase = self.phases[phase_index]
         return tuple(j for j, lane in enumerate(self.lanes) if lane in phase.green_lanes)
 
-    def phases_serving_lane(self, lane: LaneId) -> tuple[int, ...]:
-        return tuple(k for k, p in enumerate(self.phases) if lane in p.green_lanes)
-
     @property
     def intersection_index(self) -> int:
         return self.lanes[0].intersection
@@ -224,10 +221,6 @@ class NetworkConfig:
         if not (0 <= lane.intersection < len(self.intersections)):
             return False
         return lane in self.intersections[lane.intersection].lanes
-
-    def link_pair_count(self) -> int:
-        """Number of undirected neighbour connections (directed links / 2)."""
-        return len(self.links) // 2
 
 
 def build_standard_intersection(

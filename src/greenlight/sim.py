@@ -2,8 +2,9 @@
 
 Model: a vehicle entering a lane needs the free-flow traversal time to reach
 the stop line, then stacks in a vertical (capacity-unbounded) FIFO queue.
-Green lanes discharge through a fractional saturation-flow credit (one
-vehicle per `saturation_headway_s` of green).  Every step is one second:
+Green lanes discharge through a saturation-flow credit (one vehicle per
+`saturation_headway_s` of green), kept in integer ticks of the headway's
+exact rational value.  Every step is one second:
 
     (a) phase logic       apply the keep/change action, run yellow+all-red
     (b) arrivals          due vehicles enter the free-flow segment
@@ -22,10 +23,10 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Protocol, Sequence, TextIO
+from itertools import chain
+from typing import Callable, Protocol, Sequence, TextIO
 
 import numpy as np
 
@@ -35,6 +36,8 @@ log = logging.getLogger(__name__)
 
 KEEP = 0
 CHANGE = 1
+
+VEHICLE_SPACING_M = 7.5  # queued vehicles stand this far apart behind the stop line
 
 
 class SimulationError(RuntimeError):
@@ -138,10 +141,20 @@ class TravelLog:
 
 @dataclass
 class _LaneState:
-    free_flow: deque  # of (vehicle_id, ready_step), ready-ordered
-    queue: deque      # of (vehicle_id, ready_step), FIFO
-    credit: Fraction  # fractional discharge credit, exact
+    """One lane as Newell's cumulative arrival/departure curves.
+
+    Every vehicle shares the lane's free-flow time and vehicles enter in step
+    order, so entry order is stop-line order.  Vehicles before `departed`
+    have crossed the stop line, those before `ready` have reached it, and the
+    rest are still on the free-flow segment.
+    """
+
+    vehicle_ids: list[int] = field(default_factory=list)
+    ready_steps: list[int] = field(default_factory=list)
+    departed: int = 0
+    ready: int = 0
     ready_sum: int = 0  # sum of ready steps over queued vehicles, for O(1) waiting
+    credit: int = 0     # discharge credit in ticks of the rational headway
 
 
 @dataclass
@@ -203,6 +216,11 @@ class AlwaysKeepController(BaseController):
         return KEEP
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class IntersectionSim:
     """Owns the dynamic state of one intersection and advances it by 1 s steps.
 
@@ -210,28 +228,36 @@ class IntersectionSim:
     must build distinct instances.
     """
 
-    def __init__(self, config: IntersectionConfig, *,
-                 vehicle_spacing_m: float = 7.5) -> None:
+    def __init__(self, config: IntersectionConfig) -> None:
         config.validate()
         self.config = config
-        self.vehicle_spacing_m = vehicle_spacing_m
         # ceil so a vehicle is never ready before physically reaching the line;
         # exact for the default 300 m / 10 m/s geometry.
         self._ff_steps = math.ceil(config.free_flow_time_s - 1e-9)
-        self._credit_inc = Fraction(1) / Fraction(config.saturation_headway_s)
-        self._credit_cap = max(Fraction(1), self._credit_inc)
-        self._green_indices = [set(config.green_lane_indices(k)) for k in range(config.phase_count)]
+        # A float headway is an exact rational p/q: a green second earns q
+        # ticks, a vehicle costs p, and the credit never exceeds max(p, q),
+        # which is max(1, 1/h) vehicles.
+        self._tick_cost, self._tick_gain = float(config.saturation_headway_s).as_integer_ratio()
+        self._tick_cap = max(self._tick_cost, self._tick_gain)
+        self._green_lanes = [frozenset(config.green_lane_indices(k))
+                             for k in range(config.phase_count)]
+        self._green_masks = [_read_only(np.array([j in green for j in range(config.lane_count)]))
+                             for green in self._green_lanes]
+        self._red_mask = _read_only(np.zeros(config.lane_count, dtype=bool))
         self.log = TravelLog(config.road_length_m, config.free_flow_speed_mps)
         self._arrivals: dict[int, list[tuple[int, int]]] = defaultdict(list)
         self.state = SimState(
             clock_s=0,
-            lanes=[_LaneState(deque(), deque(), Fraction(0)) for _ in config.lanes],
+            lanes=[_LaneState() for _ in config.lanes],
             current_phase_index=0,
             pending_phase_index=None,
             transition_countdown_s=0,
             green_elapsed_s=0,
             ignored_actions=0,
         )
+        # The measures of the last step stay valid until the next one.
+        self._measures = self._measure(self._green_masks[0])
+        self._observation = Observation(self._measures.counts, 0)
 
     # -- demand loading ------------------------------------------------------
 
@@ -247,31 +273,25 @@ class IntersectionSim:
             raise ConfigError(f"demand_lane: lane {lane} does not exist at this intersection") from None
         self._arrivals[self.entry_step(entry_time_s)].append((vehicle_id, lane_idx))
 
-    def load_demand(self, vehicles: Iterable[Vehicle]) -> None:
-        """Schedule single-intersection demand (the first route hop of each vehicle)."""
-        for veh in vehicles:
-            self.schedule_arrival(veh.id, veh.route[0], veh.entry_time_s)
-
     # -- observation ---------------------------------------------------------
 
-    def vehicle_counts(self) -> np.ndarray:
-        return np.array(
-            [len(l.free_flow) + len(l.queue) for l in self.state.lanes], dtype=np.int64
-        )
-
-    def queue_lengths(self) -> np.ndarray:
-        return np.array([len(l.queue) for l in self.state.lanes], dtype=np.int64)
-
-    def waiting_steps(self) -> np.ndarray:
-        """Per lane, summed waiting-so-far (in steps) of the queued vehicles."""
-        now = self.state.clock_s
-        return np.array(
-            [now * len(l.queue) - l.ready_sum for l in self.state.lanes],
-            dtype=np.int64,
-        )
-
     def observe(self) -> Observation:
-        return Observation(self.vehicle_counts(), self.state.current_phase_index)
+        return self._observation
+
+    def _measure(self, green_mask: np.ndarray) -> LaneMeasures:
+        """Per-lane measures of the current state; read-only, shared with the
+        next control context."""
+        lanes = self.state.lanes
+        now = self.state.clock_s
+        queued = [l.ready - l.departed for l in lanes]
+        queues, counts, waiting = _read_only(np.array([
+            queued,
+            [len(l.ready_steps) - l.departed for l in lanes],
+            # a vehicle queued since step r has waited through steps r .. now - 1
+            [now * q - l.ready_sum for q, l in zip(queued, lanes)],
+        ], dtype=np.int64))
+        stopped = _read_only(queues / np.maximum(counts, 1))  # an empty lane has no queue: 0
+        return LaneMeasures(queues, counts, waiting, stopped, green_mask)
 
     def occupancy_vector(self, cells_per_lane: int) -> np.ndarray:
         """Coarse per-lane occupancy grid, cell 0 at the lane entrance.
@@ -283,39 +303,33 @@ class IntersectionSim:
         if cells_per_lane < 1:
             raise ConfigError("occupancy_cells: cells_per_lane must be >= 1")
         cfg = self.config
-        width = cfg.road_length_m / cells_per_lane
-        now = self.state.clock_s
-        grid = np.zeros(cfg.lane_count * cells_per_lane, dtype=np.int64)
-
-        def cell_of(position_from_entry: float) -> int:
-            c = int(position_from_entry // width)
-            return min(max(c, 0), cells_per_lane - 1)
-
-        for j, lane in enumerate(self.state.lanes):
-            base = j * cells_per_lane
-            for vid, ready in lane.free_flow:
-                entry = ready - self._ff_steps
-                pos = min(cfg.free_flow_speed_mps * (now - entry), cfg.road_length_m)
-                grid[base + cell_of(pos)] += 1
-            for rank, (_vid, _ready) in enumerate(lane.queue):
-                pos = cfg.road_length_m - rank * self.vehicle_spacing_m
-                grid[base + cell_of(pos)] += 1
-        return grid
-
-    def _green_mask_if_kept(self) -> np.ndarray:
-        mask = np.zeros(self.config.lane_count, dtype=bool)
-        if self.state.transition_countdown_s == 0:
-            for j in self._green_indices[self.state.current_phase_index]:
-                mask[j] = True
-        return mask
+        counts = self._measures.counts
+        # every vehicle on a lane, in stop-line order; the first q_j are queued
+        lane = np.arange(cfg.lane_count).repeat(counts)
+        rank = np.arange(len(lane)) - (counts.cumsum() - counts)[lane]
+        lanes = self.state.lanes
+        ready = np.fromiter(chain.from_iterable(l.ready_steps[l.departed:] for l in lanes),
+                            dtype=np.int64, count=len(lane))
+        since_entry = self.state.clock_s - (ready - self._ff_steps)
+        position = np.where(
+            rank < self._measures.queues[lane],
+            cfg.road_length_m - rank * VEHICLE_SPACING_M,
+            np.minimum(cfg.free_flow_speed_mps * since_entry, cfg.road_length_m),
+        )
+        cell = (position // (cfg.road_length_m / cells_per_lane)).astype(np.int64)
+        np.maximum(cell, 0, out=cell)
+        np.minimum(cell, cells_per_lane - 1, out=cell)
+        return np.bincount(lane * cells_per_lane + cell, minlength=cfg.lane_count * cells_per_lane)
 
     def control_context(self, intersection_index: int = 0) -> ControlContext:
         st = self.state
+        measures = self._measures
         return ControlContext(
-            observation=self.observe(),
-            queue_lengths=self.queue_lengths(),
-            waiting_steps=self.waiting_steps(),
-            green_mask=self._green_mask_if_kept(),
+            observation=self._observation,
+            queue_lengths=measures.queues,
+            waiting_steps=measures.waiting_steps,
+            # phase and countdown are as the last step left them, and so is its mask
+            green_mask=measures.green_mask,
             elapsed_green_s=st.green_elapsed_s,
             in_transition=st.transition_countdown_s > 0,
             min_green_met=st.green_elapsed_s >= self.config.min_green_s,
@@ -358,65 +372,56 @@ class IntersectionSim:
                 log.debug("t=%d: change request ignored before min green", t)
 
         green_now = st.transition_countdown_s == 0
-        green_set = self._green_indices[st.current_phase_index] if green_now else set()
+        green_lanes = self._green_lanes[st.current_phase_index] if green_now else frozenset()
 
         # (b) arrivals
+        ready = t + self._ff_steps
         for vid, lane_idx in self._arrivals.pop(t, ()):  # insertion order = load order
-            ready = t + self._ff_steps
-            st.lanes[lane_idx].free_flow.append((vid, ready))
+            lane = st.lanes[lane_idx]
+            lane.vehicle_ids.append(vid)
+            lane.ready_steps.append(ready)
             self.log.record_entry(vid, t, ready)
 
-        # (c) queue join: free-flow time elapsed, move to the stop line
-        for lane in st.lanes:
-            ff = lane.free_flow
-            while ff and ff[0][1] <= t:
-                entry = ff.popleft()
-                lane.queue.append(entry)
-                lane.ready_sum += entry[1]
-
-        # (d) discharge
         departures: list[int] = []
+        cost, gain, cap = self._tick_cost, self._tick_gain, self._tick_cap
         for j, lane in enumerate(st.lanes):
-            if j in green_set:
-                lane.credit = min(lane.credit + self._credit_inc, self._credit_cap)
-                while lane.credit >= 1 and lane.queue:
-                    vid, ready = lane.queue.popleft()
-                    lane.ready_sum -= ready
-                    self.log.record_departure(vid, t)
-                    departures.append(vid)
-                    lane.credit -= 1
-            else:
-                lane.credit = Fraction(0)
+            # (c) queue join: free-flow time elapsed, move to the stop line
+            ready_steps = lane.ready_steps
+            at_line = lane.ready
+            while at_line < len(ready_steps) and ready_steps[at_line] <= t:
+                lane.ready_sum += ready_steps[at_line]
+                at_line += 1
+            lane.ready = at_line
+            # (d) discharge
+            if j not in green_lanes:
+                lane.credit = 0
+                continue
+            credit = min(lane.credit + gain, cap)
+            head = lane.departed
+            while credit >= cost and head < at_line:
+                vid = lane.vehicle_ids[head]
+                lane.ready_sum -= ready_steps[head]
+                self.log.record_departure(vid, t)
+                departures.append(vid)
+                head += 1
+                credit -= cost
+            lane.departed = head
+            lane.credit = credit
 
-        # (e) reward and measures, post-movement
-        queues = self.queue_lengths()
-        counts = self.vehicle_counts()
-        waiting = self.waiting_steps() + queues  # queued vehicles have waited through this step
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stopped = np.where(counts > 0, queues / np.maximum(counts, 1), 0.0)
-        green_mask = np.zeros(cfg.lane_count, dtype=bool)
-        for j in green_set:
-            green_mask[j] = True
-        reward = float(-int(queues.sum()))  # int negation avoids -0.0
-
-        # (f) clock
+        # (f) clock, then (e) reward and measures, post-movement
         st.clock_s = t + 1
-        if st.transition_countdown_s == 0:
+        if green_now:
             st.green_elapsed_s += 1
-
+        mask = self._green_masks[st.current_phase_index] if green_now else self._red_mask
+        self._measures = self._measure(mask)
+        self._observation = Observation(self._measures.counts, st.current_phase_index)
         return StepOutcome(
-            observation=self.observe(),
-            reward=reward,
+            observation=self._observation,
+            reward=float(-int(self._measures.queues.sum())),  # int negation avoids -0.0
             departures=departures,
             clock_s=t,
-            measures=LaneMeasures(queues, counts, waiting, stopped, green_mask),
+            measures=self._measures,
         )
-
-    def vehicles_on_lanes(self) -> int:
-        return int(self.vehicle_counts().sum())
-
-    def pending_arrivals(self) -> int:
-        return sum(len(v) for v in self._arrivals.values())
 
 
 # ---------------------------------------------------------------------------

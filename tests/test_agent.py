@@ -426,6 +426,23 @@ def test_training_resumes_from_a_checkpoint_exactly(tmp_path):
     assert np.array_equal(resumed.adam.m, agent.adam.m)
 
 
+def test_checkpoint_epsilon_horizon_survives_resumed_training(tmp_path):
+    inter = build_standard_intersection(2)
+    net = single_intersection_network(inter)
+    from greenlight.demand import generate_uniform
+
+    def demand_fn(episode):
+        return generate_uniform(400.0, list(inter.lanes), 150.0)
+
+    agent = DQNAgent(inter, AgentConfig(batch_size=8), seed=3)
+    train(agent, net, demand_fn, episodes=4, horizon_s=200)
+    assert agent._decay_steps == 480  # 0.6 of 4 x 200 decisions
+    agent.save(tmp_path / "agent.npz")
+    resumed = DQNAgent.load(tmp_path / "agent.npz", inter)
+    train(resumed, net, demand_fn, episodes=1, horizon_s=200, base_seed=4)
+    assert resumed._decay_steps == 480
+
+
 def test_load_rejects_version_1_checkpoint(tmp_path):
     import json
 

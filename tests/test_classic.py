@@ -16,7 +16,6 @@ from greenlight.classic import (
     fixed_time_decide,
     sotl_decide,
     webster_cycle_length,
-    webster_delay,
     webster_phase_splits,
 )
 from greenlight.core import (
@@ -132,21 +131,6 @@ def test_discharge_capacity_floor():
     assert discharge_capacity_vph(4.2, 20.0, 2.0) == pytest.approx(360.0)
     with pytest.raises(ConfigError):
         discharge_capacity_vph(5.0, 0.0, 2.0)
-
-
-# -- delay formula -----------------------------------------------------------
-
-
-def test_delay_formula_value():
-    # f=900vph=0.25veh/s, ratio 0.5: 0.25/(1-0.5)*30 = 15
-    assert webster_delay(900.0, 1800.0, 30.0) == pytest.approx(15.0)
-
-
-def test_delay_formula_guards():
-    with pytest.raises(OversaturatedError):
-        webster_delay(1800.0, 1800.0, 30.0)
-    with pytest.raises(ConfigError):
-        webster_delay(-5.0, 1800.0, 30.0)
 
 
 # -- flow estimation ---------------------------------------------------------

@@ -92,24 +92,17 @@ def test_validate_rejects_nonpositive_geometry():
         IntersectionConfig(lanes=cfg.lanes, phases=cfg.phases, road_length_m=0.0)
 
 
-def test_phases_serving_lane():
-    cfg = build_standard_intersection(2)
-    assert cfg.phases_serving_lane(cfg.lanes[0]) == (0,)
-    assert cfg.phases_serving_lane(cfg.lanes[2]) == (1,)
-
-
 def test_single_intersection_network():
     net = single_intersection_network(build_standard_intersection(2))
     assert len(net.intersections) == 1
     assert net.links == {}
-    assert net.link_pair_count() == 0
 
 
 def test_grid_network_link_pairs():
-    # 3x4 grid: horizontal neighbours 3*(4-1)=9, vertical (3-1)*4=8 -> 17 pairs
+    # 3x4 grid: horizontal neighbours 3*(4-1)=9, vertical (3-1)*4=8 -> 17 pairs,
+    # each linked both ways
     net = build_grid_network(3, 4, build_standard_intersection(2))
     assert len(net.intersections) == 12
-    assert net.link_pair_count() == 17
     assert len(net.links) == 34
 
 

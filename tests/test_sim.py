@@ -2,7 +2,6 @@
 
 import dataclasses
 import io
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -260,6 +259,24 @@ def test_waiting_measure_counts_post_movement_snapshots():
     assert outs[32].measures.stopped_fraction[2] == 1.0
 
 
+def test_measures_are_built_once_per_step_and_read_only():
+    sim = make_sim()
+    sim.schedule_arrival(0, lane("NT"), 0.0)
+    for _ in range(31):
+        out = sim.step(KEEP)
+    ctx = sim.control_context()
+    # the next context reads the arrays the step built, so neither may change them
+    assert ctx.observation is out.observation
+    assert ctx.queue_lengths is out.measures.queues
+    assert ctx.waiting_steps is out.measures.waiting_steps
+    assert ctx.green_mask is out.measures.green_mask
+    measures = out.measures
+    for array in (measures.queues, measures.counts, measures.waiting_steps,
+                  measures.stopped_fraction, measures.green_mask):
+        with pytest.raises(ValueError):
+            array[2] = 0
+
+
 def test_occupancy_vector_cells():
     sim = make_sim()
     sim.schedule_arrival(0, lane("WT"), 0.0)
@@ -393,12 +410,15 @@ def test_episode_is_deterministic():
 
 
 def test_exact_credit_arithmetic_is_fractional():
-    sim = make_sim(saturation_headway_s=3.0)
-    assert sim._credit_inc == Fraction(1, 3)
-    # three green seconds accumulate exactly one vehicle of credit
-    sim.schedule_arrival(0, lane("WT"), 0.0)
+    # h = 10: each green second earns exactly 1/10 of a vehicle.  The first
+    # vehicle finds the credit saturated; each later one needs exactly ten
+    # seconds of green.  A float credit sums ten 0.1s to 0.9999999999999999
+    # and releases them at 41 and 52 instead.
+    sim = make_sim(saturation_headway_s=10.0)
+    for vid in range(3):
+        sim.schedule_arrival(vid, lane("WT"), 0.0)
     departs = {}
-    for t in range(40):
+    for t in range(60):
         for vid in sim.step(KEEP).departures:
             departs[vid] = t
-    assert departs[0] == 30  # cap = max(1, 1/h) = 1, already saturated
+    assert [departs[v] for v in range(3)] == [30, 40, 50]
