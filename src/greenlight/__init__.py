@@ -24,7 +24,6 @@ from .sim import (
     KEEP,
     BaseController,
     ControlContext,
-    Controller,
     EpisodeResult,
     IntersectionSim,
     LaneMeasures,

@@ -624,8 +624,7 @@ class AgentController(BaseController):
         self._pending = (state, phase, action)
         return action
 
-    def after_step(self, ctx: ControlContext, action: int, outcome: StepOutcome,
-                   sim) -> None:
+    def after_step(self, outcome: StepOutcome) -> None:
         self._reward_acc += compute_reward(
             outcome.measures, self.agent.config.reward_mode,
             self.agent.config.reward_weights,

@@ -15,7 +15,8 @@ The pure timing/decision functions are module-level so they can be tested
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,19 +54,13 @@ class WebsterParams:
 
 @dataclass
 class FlowEstimate:
-    """Per-lane arrival/discharge rates reconstructed from count histories."""
+    """Per-lane arrival rates reconstructed from count histories."""
 
     f_in_per_lane: np.ndarray       # vehicles/second
-    f_out_per_lane: np.ndarray      # vehicles/second, saturation-flow estimate
     in_samples: np.ndarray          # red-step samples behind each f_in
-    out_samples: np.ndarray         # saturated green-step samples behind f_out
-    samples_used: int               # total count transitions inspected
 
     def f_in_valid(self) -> np.ndarray:
         return self.in_samples >= 1
-
-    def f_out_valid(self) -> np.ndarray:
-        return (self.out_samples >= 1) & self.f_in_valid()
 
 
 # ---------------------------------------------------------------------------
@@ -213,52 +208,26 @@ def discharge_capacity_vph(green_s: float, cycle_s: float, headway_s: float) -> 
     return math.floor(green_steps / headway_s + 1e-9) * 3600.0 / cycle_s
 
 
-def estimate_flows(
-    counts: np.ndarray,
-    green_masks: np.ndarray,
-    queues: np.ndarray | None = None,
-    *,
-    min_samples: int = 1,
-) -> FlowEstimate:
-    """Reconstruct per-lane arrival and discharge rates from count history.
+def estimate_flows(counts: np.ndarray, green_masks: np.ndarray) -> FlowEstimate:
+    """Reconstruct per-lane arrival rates from count history.
 
     ``counts[s]`` is the post-step vehicle count vector of step ``s`` and
     ``green_masks[s]`` the discharge mask that applied during step ``s``.
     A step where a lane was red contributes an arrival sample
-    ``counts[s] - counts[s-1]`` (nothing left, so the difference is pure
-    inflow); a green step that started with a standing queue contributes a
-    saturated-discharge sample ``counts[s-1] - counts[s] + f_in``.
+    ``counts[s] - counts[s-1]``: nothing left, so the difference is pure
+    inflow.
     """
     counts = np.asarray(counts, dtype=float)
     green_masks = np.asarray(green_masks, dtype=bool)
     if counts.ndim != 2 or counts.shape != green_masks.shape:
         raise ConfigError("estimate_flows: counts and masks must share (T, M) shape")
-    steps, lanes = counts.shape
-    if steps < 2:
+    if counts.shape[0] < 2:
         raise ConfigError("estimate_flows: need at least two observations")
-    diffs = counts[1:] - counts[:-1]           # (T-1, M), diff of step s vs s-1
     red = ~green_masks[1:]
-    in_sum = np.where(red, diffs, 0.0).sum(axis=0)
+    in_sum = np.where(red, counts[1:] - counts[:-1], 0.0).sum(axis=0)
     in_n = red.sum(axis=0)
-    f_in = np.divide(in_sum, in_n, out=np.zeros(lanes), where=in_n >= min_samples)
-
-    if queues is None:
-        saturated = green_masks[1:]
-    else:
-        queues = np.asarray(queues)
-        saturated = green_masks[1:] & (queues[:-1] > 0)
-    out_sum = np.where(saturated, -diffs, 0.0).sum(axis=0)
-    out_n = saturated.sum(axis=0)
-    f_out = np.divide(out_sum, out_n, out=np.zeros(lanes), where=out_n >= min_samples)
-    f_out = np.where(out_n >= min_samples, f_out + f_in, 0.0)
-
-    return FlowEstimate(
-        f_in_per_lane=f_in,
-        f_out_per_lane=np.maximum(f_out, 0.0),
-        in_samples=in_n,
-        out_samples=out_n,
-        samples_used=steps - 1,
-    )
+    f_in = np.divide(in_sum, in_n, out=np.zeros(counts.shape[1]), where=in_n >= 1)
+    return FlowEstimate(f_in_per_lane=f_in, in_samples=in_n)
 
 
 def critical_volumes_vph(config: IntersectionConfig, f_in_per_lane: np.ndarray) -> list[float]:
@@ -300,12 +269,10 @@ class SotlController(BaseController):
     def decide(self, ctx: ControlContext) -> int:
         if ctx.in_transition:
             return KEEP
-        green = self.config.green_lane_indices(ctx.observation.phase_index)
-        queues = ctx.queue_lengths
-        red_queues = [int(queues[j]) for j in range(len(queues)) if j not in set(green)]
-        green_queues = [int(queues[j]) for j in green]
+        # outside a transition the mask is the current phase's green
+        queues, green = ctx.queue_lengths, ctx.green_mask
         return sotl_decide(
-            green_queues, red_queues, ctx.elapsed_green_s,
+            queues[green].tolist(), queues[~green].tolist(), ctx.elapsed_green_s,
             self.theta_red, self.theta_green, self.config.min_green_s,
         )
 
@@ -334,9 +301,12 @@ class WebsterController(BaseController):
         )
         self.warmup_phase_s = warmup_phase_s
         self.plan = _TimingPlan(0.0, [warmup_phase_s] * config.phase_count, "fallback")
-        self._counts: list[np.ndarray] = [np.zeros(config.lane_count)]
-        self._masks: list[np.ndarray] = [np.zeros(config.lane_count, dtype=bool)]
-        self._queues: list[np.ndarray] = [np.zeros(config.lane_count)]
+        # the post-step counts and masks of the last window + 1 steps, kept by
+        # reference: the simulator hands out fresh read-only arrays each step
+        history = self.params.measurement_window_s + 1
+        self._counts: deque[np.ndarray] = deque([np.zeros(config.lane_count)], maxlen=history)
+        self._masks: deque[np.ndarray] = deque([np.zeros(config.lane_count, dtype=bool)],
+                                               maxlen=history)
         self.replan_log: list[tuple[int, _TimingPlan]] = []
 
     def _saturated_plan(self) -> _TimingPlan:
@@ -346,13 +316,7 @@ class WebsterController(BaseController):
         return _TimingPlan(c_max, [g] * k, "saturated")
 
     def _replan(self, clock_s: int) -> None:
-        window = self.params.measurement_window_s
-        tail = min(window + 1, len(self._counts))
-        est = estimate_flows(
-            np.stack(self._counts[-tail:]),
-            np.stack(self._masks[-tail:]),
-            np.stack(self._queues[-tail:]),
-        )
+        est = estimate_flows(np.stack(self._counts), np.stack(self._masks))
         if not est.f_in_valid().all():
             return  # keep the current plan until every lane has red samples
         volumes = critical_volumes_vph(self.config, est.f_in_per_lane)
@@ -394,13 +358,6 @@ class WebsterController(BaseController):
         allotted = self.plan.splits_s[ctx.observation.phase_index]
         return fixed_time_decide(ctx.elapsed_green_s, allotted)
 
-    def after_step(self, ctx: ControlContext, action: int, outcome: StepOutcome,
-                   sim) -> None:
-        self._counts.append(outcome.observation.vehicle_counts.astype(float))
-        self._masks.append(outcome.measures.green_mask.copy())
-        self._queues.append(outcome.measures.queues.astype(float))
-        window = self.params.measurement_window_s
-        if len(self._counts) > 2 * window + 2:  # bounded memory
-            del self._counts[: -window - 1]
-            del self._masks[: -window - 1]
-            del self._queues[: -window - 1]
+    def after_step(self, outcome: StepOutcome) -> None:
+        self._counts.append(outcome.measures.counts)
+        self._masks.append(outcome.measures.green_mask)

@@ -328,10 +328,6 @@ def build_webster_params(cfg: ExperimentConfig,
     return WebsterParams(**defaults)
 
 
-def build_agent_config(cfg: ExperimentConfig) -> AgentConfig:
-    return AgentConfig.from_dict(cfg.controller.agent)
-
-
 def default_config_dict() -> dict:
     """All defaults, as a plain dict suitable for YAML dumping."""
     cfg = ExperimentConfig(

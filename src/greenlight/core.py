@@ -154,10 +154,6 @@ class IntersectionConfig:
         return self.road_length_m / self.free_flow_speed_mps
 
     @property
-    def saturation_flow_vph(self) -> float:
-        return 3600.0 / self.saturation_headway_s
-
-    @property
     def transition_time_s(self) -> int:
         return self.yellow_s + self.all_red_s
 
@@ -167,10 +163,6 @@ class IntersectionConfig:
     def green_lane_indices(self, phase_index: int) -> tuple[int, ...]:
         phase = self.phases[phase_index]
         return tuple(j for j, lane in enumerate(self.lanes) if lane in phase.green_lanes)
-
-    @property
-    def intersection_index(self) -> int:
-        return self.lanes[0].intersection
 
 
 @dataclass(frozen=True)

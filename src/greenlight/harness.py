@@ -13,7 +13,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -37,7 +37,7 @@ from .config import (
 )
 from .core import ConfigError, NetworkConfig, Vehicle
 from .metrics import EpisodeMetrics, check_identity, compute_metrics, detect_convergence
-from .sim import Controller, EpisodeResult, run_episode
+from .sim import BaseController, EpisodeResult, run_episode
 
 RESULTS_HEADER = "controller,seed,episode,avg_travel_time_s,avg_queue,throughput,converged_at"
 
@@ -112,10 +112,10 @@ def aggregate_metrics(result: EpisodeResult) -> EpisodeMetrics:
 
 
 def make_classic_controllers(cfg: ExperimentConfig, network: NetworkConfig,
-                             kind: str | None = None) -> list[Controller]:
+                             kind: str | None = None) -> list[BaseController]:
     kind = kind if kind is not None else cfg.controller.kind
     ctrl = cfg.controller
-    out: list[Controller] = []
+    out: list[BaseController] = []
     for intersection in network.intersections:
         if kind == "fixedtime":
             out.append(FixedTimeController(ctrl.phase_duration_s))
@@ -147,7 +147,7 @@ def make_agents(network: NetworkConfig, agent_config: AgentConfig,
 
 def evaluate(
     network: NetworkConfig,
-    controller_factory: Callable[[int], Sequence[Controller]],
+    controller_factory: Callable[[int], Sequence[BaseController]],
     demand_fn: Callable[[int], Sequence[Vehicle]],
     episodes: int,
     horizon_s: int,
@@ -307,7 +307,8 @@ def run_ablation_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
 
 def run_sotl_grid_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
                         ) -> tuple[list[ResultRow], list[str]]:
-    """Grid search over the two actuation thresholds."""
+    """Grid search over the two actuation thresholds; each point runs as
+    ``run_seed`` does for a SOTL config with those thresholds."""
     sweep = cfg.sweep or {}
     reds = sweep.get("theta_red", [2.0, 4.0, 6.0])
     greens = sweep.get("theta_green", [1.0, 2.0, 3.0])
@@ -317,23 +318,11 @@ def run_sotl_grid_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
     rows: list[ResultRow] = []
     for red in reds:
         for green in greens:
+            point = replace(cfg, controller=replace(
+                cfg.controller, kind="sotl", theta_red=red, theta_green=green))
             label = f"sotl[r={red:g},g={green:g}]"
             for seed in cfg.run.seeds:
-                horizon = cfg.run.horizon_s
-                demand_fn = build_demand_fn(cfg.demand, network, seed, horizon)
-                factory = lambda episode: [
-                    SotlController(ix, theta_red=red, theta_green=green)
-                    for ix in network.intersections
-                ]
-                metrics, _ = evaluate(
-                    network, factory, lambda e: demand_fn(10_000 + e),
-                    cfg.run.episodes, horizon, _mix_seed(seed, 2),
-                )
-                rows.extend(
-                    ResultRow(label, seed, i, m.avg_travel_time_s, m.avg_queue,
-                              m.throughput, None)
-                    for i, m in enumerate(metrics)
-                )
+                rows.extend(run_seed(point, network, seed, controller_label=label).rows)
     results_path = os.path.join(out_dir, "results.csv")
     write_results_csv(results_path, rows)
     return rows, [results_path]

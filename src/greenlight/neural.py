@@ -81,10 +81,6 @@ class DenseNet:
     def input_dim(self) -> int:
         return self.layers[0].weight.shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
-
     def parameter_count(self) -> int:
         return sum(l.weight.size + l.bias.size for l in self.layers)
 

@@ -26,7 +26,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Protocol, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class TravelLog:
     def departed_count(self) -> int:
         return sum(1 for r in self.records.values() if r.depart_s is not None)
 
-    def pending_count(self) -> int:
-        return self.entered_count() - self.departed_count()
-
     def delays(self) -> list[int]:
         """Waiting steps (depart - ready) of every departed vehicle."""
         return [r.depart_s - r.ready_s for r in self.records.values() if r.depart_s is not None]
@@ -182,30 +179,18 @@ class ControlContext:
     in_transition: bool
     min_green_met: bool
     clock_s: int
-    intersection_index: int
     occupancy: Callable[[int], np.ndarray]  # cells_per_lane -> occupancy vector
 
 
-class Controller(Protocol):
-    """Per-intersection signal controller."""
-
-    def decide(self, ctx: ControlContext) -> int:
-        """Return 1 to advance to the next phase, 0 to keep the current one."""
-        ...
-
-    def after_step(self, ctx: ControlContext, action: int, outcome: StepOutcome,
-                   sim: "IntersectionSim") -> None:
-        """Optional hook, called once per step after the action executed."""
-
-
 class BaseController:
-    """Default no-op hook so concrete controllers only implement decide()."""
+    """Per-intersection signal controller; concrete ones implement decide()."""
 
     def decide(self, ctx: ControlContext) -> int:  # pragma: no cover - abstract
+        """Return 1 to advance to the next phase, 0 to keep the current one."""
         raise NotImplementedError
 
-    def after_step(self, ctx: ControlContext, action: int, outcome: StepOutcome,
-                   sim: "IntersectionSim") -> None:
+    def after_step(self, outcome: StepOutcome) -> None:
+        """Hook called once per step with the step's outcome; a no-op here."""
         return None
 
 
@@ -321,7 +306,7 @@ class IntersectionSim:
         np.minimum(cell, cells_per_lane - 1, out=cell)
         return np.bincount(lane * cells_per_lane + cell, minlength=cfg.lane_count * cells_per_lane)
 
-    def control_context(self, intersection_index: int = 0) -> ControlContext:
+    def control_context(self) -> ControlContext:
         st = self.state
         measures = self._measures
         return ControlContext(
@@ -334,7 +319,6 @@ class IntersectionSim:
             in_transition=st.transition_countdown_s > 0,
             min_green_met=st.green_elapsed_s >= self.config.min_green_s,
             clock_s=st.clock_s,
-            intersection_index=intersection_index,
             occupancy=self.occupancy_vector,
         )
 
@@ -454,7 +438,7 @@ def validate_demand(network: NetworkConfig, demand: Sequence[Vehicle]) -> None:
 
 def run_episode(
     network: NetworkConfig,
-    controllers: Sequence[Controller],
+    controllers: Sequence[BaseController],
     demand: Sequence[Vehicle],
     horizon_s: int,
     seed: int = 0,
@@ -505,10 +489,8 @@ def run_episode(
 
     for t in range(horizon_s):
         for i, sim in enumerate(sims):
-            ctx = sim.control_context(i)
-            action = controllers[i].decide(ctx)
-            outcome = sim.step(action)
-            controllers[i].after_step(ctx, action, outcome, sim)
+            outcome = sim.step(controllers[i].decide(sim.control_context()))
+            controllers[i].after_step(outcome)
             reward_traces[i][t] = outcome.reward
             phase_traces[i][t] = outcome.observation.phase_index
             if collect_queue_traces:

@@ -425,8 +425,8 @@ class _MeasureRecorder(BaseController):
     def decide(self, ctx):
         return self.inner.decide(ctx)
 
-    def after_step(self, ctx, action, outcome, sim):
-        self.inner.after_step(ctx, action, outcome, sim)
+    def after_step(self, outcome):
+        self.inner.after_step(outcome)
         self.counts.append(outcome.measures.counts.copy())
         self.masks.append(outcome.measures.green_mask.copy())
 

@@ -27,8 +27,8 @@ from greenlight.core import (
     build_standard_intersection,
     single_intersection_network,
 )
-from greenlight.demand import generate_uniform
-from greenlight.sim import CHANGE, KEEP, run_episode
+from greenlight.demand import ArrivalProcess, generate_uniform
+from greenlight.sim import CHANGE, KEEP, BaseController, run_episode
 
 
 def lane(label: str) -> LaneId:
@@ -143,29 +143,8 @@ def test_estimate_flows_arrival_rate_from_red_steps():
     assert est.f_in_per_lane[0] == pytest.approx(1.0)
     assert est.in_samples[0] == 3
     assert est.f_in_valid()[0]
-    assert not est.f_out_valid()[0]  # no saturated green samples
-
-
-def test_estimate_flows_discharge_rate_adds_back_inflow():
-    # one red step (count 4->5: f_in=1), then two green steps with standing
-    # queues where the count drops by one: service = 1 + 1 = 2 veh/s
-    counts = np.array([[4.0], [5.0], [4.0], [3.0]])
-    masks = np.array([[False], [False], [True], [True]])
-    queues = np.array([[2.0], [2.0], [2.0], [1.0]])
-    est = estimate_flows(counts, masks, queues)
-    assert est.f_in_per_lane[0] == pytest.approx(1.0)
-    assert est.f_out_per_lane[0] == pytest.approx(2.0)
-    assert est.out_samples[0] == 2
-    assert est.f_out_valid()[0]
-
-
-def test_estimate_flows_green_without_queue_is_not_a_service_sample():
-    counts = np.array([[1.0], [1.0], [1.0]])
-    masks = np.array([[True], [True], [True]])
-    queues = np.array([[0.0], [0.0], [0.0]])
-    est = estimate_flows(counts, masks, queues)
-    assert est.out_samples[0] == 0
-    assert not est.f_in_valid()[0]  # no red steps either
+    # green throughout: no arrival sample
+    assert not estimate_flows(counts, ~masks).f_in_valid()[0]
 
 
 def test_estimate_flows_shape_errors():
@@ -261,6 +240,51 @@ def test_webster_controller_warmup_then_replan():
     assert plan0.source == "estimated"
     assert plan0.cycle_s == pytest.approx(20.0)
     assert plan0.splits_s == pytest.approx([5.0, 5.0])
+
+
+class _MeasureRecorder(BaseController):
+    """Wraps a controller, keeping each step's post-step counts and green mask."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.counts = []
+        self.masks = []
+
+    def decide(self, ctx):
+        return self.inner.decide(ctx)
+
+    def after_step(self, outcome):
+        self.inner.after_step(outcome)
+        self.counts.append(outcome.measures.counts.copy())
+        self.masks.append(outcome.measures.green_mask.copy())
+
+
+def test_webster_replans_from_exactly_the_last_window_plus_one_observations():
+    cfg = build_standard_intersection(2)
+    net = single_intersection_network(cfg)
+    window, horizon = 20, 200
+    params = WebsterParams(measurement_window_s=window)
+    ctrl = WebsterController(cfg, params, warmup_phase_s=10.0)
+    recorder = _MeasureRecorder(ctrl)
+    rates = dict(zip(cfg.lanes, [500.0, 300.0, 200.0, 400.0]))
+    demand = generate_uniform(rates, list(cfg.lanes), float(horizon),
+                              ArrivalProcess.POISSON, seed=4)
+    run_episode(net, [recorder], demand, horizon_s=horizon)
+
+    # before step 0 the controller holds empty lanes under an all-red mask
+    counts = [np.zeros(cfg.lane_count)] + recorder.counts
+    masks = [np.zeros(cfg.lane_count, dtype=bool)] + recorder.masks
+    expected = []
+    for clock in range(window, horizon, window):
+        # decide at `clock` has seen the outcomes of steps 0 .. clock - 1
+        est = estimate_flows(np.stack(counts[clock - window:clock + 1]),
+                             np.stack(masks[clock - window:clock + 1]))
+        if est.f_in_valid().all():
+            volumes = critical_volumes_vph(cfg, est.f_in_per_lane)
+            cycle = webster_cycle_length(sum(volumes), params, cfg.phase_count)
+            expected.append((clock, ctrl._feasible_plan(volumes, cycle)))
+    assert len(expected) >= 3
+    assert ctrl.replan_log == expected
 
 
 def test_webster_feasible_plan_stretches_cycle_for_discrete_capacity():

@@ -6,8 +6,8 @@ import pytest
 import yaml
 
 from greenlight import config as config_mod
+from greenlight.agent import AgentConfig
 from greenlight.config import (
-    build_agent_config,
     build_demand_fn,
     build_network,
     build_webster_params,
@@ -316,11 +316,11 @@ def test_build_webster_params_overrides_win():
     assert params.saturation_headway_s == 2.0
 
 
-def test_build_agent_config_applies_overrides():
+def test_agent_config_from_controller_section_applies_overrides():
     cfg = parse_config({"controller": {"kind": "rl", "agent": {
         "gamma": 0.5, "hidden_dims": [16, 8],
     }}})
-    agent_cfg = build_agent_config(cfg)
+    agent_cfg = AgentConfig.from_dict(cfg.controller.agent)
     assert agent_cfg.gamma == 0.5
     assert agent_cfg.hidden_dims == (16, 8)
 

@@ -59,7 +59,7 @@ def test_derived_quantities():
     # 300 m at 10 m/s
     assert cfg.free_flow_time_s == 30.0
     # one vehicle per 2 s
-    assert cfg.saturation_flow_vph == 1800.0
+    assert cfg.saturation_headway_s == 2.0
     # yellow 3 + all-red 2
     assert cfg.transition_time_s == 5.0
 
@@ -117,7 +117,6 @@ def test_grid_network_link_endpoints():
 def test_grid_lane_ids_are_reindexed():
     net = build_grid_network(2, 2, build_standard_intersection(2))
     for i, cfg in enumerate(net.intersections):
-        assert cfg.intersection_index == i
         assert all(lane.intersection == i for lane in cfg.lanes)
 
 

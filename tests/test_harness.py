@@ -1,5 +1,6 @@
 """Experiment harness: result rows, pooled metrics, evaluation loops, sweeps."""
 
+import dataclasses
 import os
 from fractions import Fraction
 
@@ -331,6 +332,23 @@ def test_run_sotl_grid_sweep_labels_and_rows(tmp_path):
     assert [r.controller for r in rows] == ["sotl[r=3,g=1]", "sotl[r=3,g=2.5]"]
     assert all(r.converged_at is None for r in rows)
     assert written == [os.path.join(str(tmp_path), "results.csv")]
+
+
+def test_run_sotl_grid_sweep_evaluates_on_deploy_demand(tmp_path):
+    # light training demand, heavy deployment demand: a grid point scores
+    # what `run` scores for a SOTL config with the same thresholds
+    cfg = parse_config({
+        "network": {"kind": "single", "phases": 2},
+        "demand": {"kind": "uniform", "rate_vph": 200.0, "process": "poisson"},
+        "deploy_demand": {"kind": "uniform", "rate_vph": 700.0, "process": "poisson"},
+        "controller": {"kind": "sotl", "theta_red": 4.0, "theta_green": 2.0},
+        "run": {"horizon_s": 300, "episodes": 2, "seeds": [3], "out_dir": str(tmp_path)},
+        "sweep": {"kind": "sotl-grid", "theta_red": [4.0], "theta_green": [2.0]},
+    })
+    swept, _ = harness.run_sweep(cfg)
+    ran, _ = harness.run_experiment(cfg)
+    assert [r.controller for r in swept] == ["sotl[r=4,g=2]"] * 2
+    assert [dataclasses.replace(r, controller="sotl") for r in swept] == ran
 
 
 def test_run_sweep_dispatches_and_rejects_unknown_kind(tmp_path):

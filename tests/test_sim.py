@@ -104,7 +104,7 @@ def test_red_lane_vehicle_waits_and_is_censored():
     rewards = []
     for _ in range(40):
         rewards.append(sim.step(KEEP).reward)
-    assert sim.log.pending_count() == 1
+    assert sim.log.entered_count() - sim.log.departed_count() == 1
     # queued (post-movement) from ready=30 through t=39: ten snapshots
     assert rewards[:30] == [0.0] * 30
     assert rewards[30:] == [-1.0] * 10

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenlight.classic import SotlController
 from greenlight.core import build_standard_intersection
 from greenlight.sim import CHANGE, KEEP, IntersectionSim
 
@@ -71,6 +72,17 @@ def replay_departures(cfg, phase_trace, red, ready_by_lane):
     return departs
 
 
+def sotl_reference(cfg, ctx, theta_red, theta_green):
+    """SOTL with green and red lanes taken from the phase's lane list."""
+    if ctx.in_transition or ctx.elapsed_green_s < cfg.min_green_s:
+        return KEEP
+    green = cfg.green_lane_indices(ctx.observation.phase_index)
+    queues = [int(q) for q in ctx.queue_lengths]
+    red_max = max((q for j, q in enumerate(queues) if j not in green), default=0)
+    green_sum = sum(queues[j] for j in green)
+    return CHANGE if red_max > theta_red and green_sum < theta_green else KEEP
+
+
 def occupancy_reference(cfg, log, lane_of, now, cells):
     """Per-vehicle occupancy: queued vehicles 7.5 m apart back from the stop
     line, free-flow vehicles at speed * time since entry."""
@@ -91,10 +103,13 @@ def occupancy_reference(cfg, log, lane_of, now, cells):
 
 
 @settings(max_examples=60, deadline=None)
-@given(scenarios(), st.integers(1, 40))
-def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells):
+@given(scenarios(), st.integers(1, 40), st.sampled_from([0.0, 1.0, 4.0]),
+       st.sampled_from([1.0, 2.0, 5.0]))
+def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells, theta_red,
+                                                               theta_green):
     cfg, arrivals, actions = scenario
     sim = IntersectionSim(cfg)
+    sotl = SotlController(cfg, theta_red=theta_red, theta_green=theta_green)
     lane_of = {}
     for vid, (j, entry) in enumerate(arrivals):
         sim.schedule_arrival(vid, cfg.lanes[j], entry)
@@ -102,6 +117,11 @@ def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells):
 
     phases, all_red, reward_sum = [], [], 0.0
     for t, action in enumerate(actions):
+        ctx = sim.control_context()
+        if not ctx.in_transition:
+            green = cfg.green_lane_indices(ctx.observation.phase_index)
+            assert ctx.green_mask.tolist() == [j in green for j in range(cfg.lane_count)]
+        assert sotl.decide(ctx) == sotl_reference(cfg, ctx, theta_red, theta_green)
         out = sim.step(action)
         phases.append(out.observation.phase_index)
         all_red.append(not out.measures.green_mask.any())
