@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ConfigError, IntersectionConfig, NetworkConfig, Vehicle
+from .metrics import censored_avg_travel_time
 from .neural import (
     AdamState,
     DenseNet,
@@ -174,7 +175,7 @@ def encode_state(
     raise ConfigError(f"state_mode: unknown mode {mode!r}")
 
 
-def compute_reward(measures: "LaneMeasures | np.ndarray", mode: RewardMode,
+def compute_reward(measures: LaneMeasures, mode: RewardMode,
                    weights: dict[str, float] | None = None) -> float:
     """Negated cost of the post-movement lane state under the chosen mode.
 
@@ -183,10 +184,6 @@ def compute_reward(measures: "LaneMeasures | np.ndarray", mode: RewardMode,
     per-vehicle waiting steps (``waiting``), or summed vehicle counts
     (``vehicles``).  ``weighted`` linearly combines any of those.
     """
-    if isinstance(measures, np.ndarray):
-        if mode is not RewardMode.QUEUE:
-            raise ConfigError("compute_reward: bare queue vector only supports queue mode")
-        return -float(np.sum(measures))
     mode = RewardMode(mode)
     if mode is RewardMode.QUEUE:
         return -float(measures.queues.sum())
@@ -680,8 +677,6 @@ def train(
     still on a lane at the horizon contribute their waiting so far, so
     starving policies cannot hide unfinished vehicles.
     """
-    from .metrics import censored_avg_travel_time  # local import avoids a cycle
-
     agent_list = [agents] if isinstance(agents, DQNAgent) else list(agents)
     if len(agent_list) != network.intersection_count:
         raise ConfigError(

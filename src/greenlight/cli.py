@@ -3,7 +3,8 @@
 Subcommands:
     run              evaluate a configured controller, writing results.csv
     train            train a learning controller and write its curve
-    sweep            ablation or threshold-grid sweeps
+    sweep            the configured sweep (agent ablation or SOTL threshold
+                     grid), every point validated before the first run
     gradcheck        finite-difference check of randomized value networks
     validate-config  parse + validate a config file and exit
     show-defaults    print the full default configuration as YAML
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--episodes", type=int, default=None,
                          help="override training episode count")
 
-    p_sweep = sub.add_parser("sweep", help="run the configured sweep")
+    p_sweep = sub.add_parser("sweep", help="run the configured sweep: ablation or sotl-grid")
     add_common(p_sweep)
 
     p_grad = sub.add_parser("gradcheck", help="gradient-check random networks")

@@ -17,7 +17,7 @@ YAML syntax errors carry the line reported by the parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
 
 import yaml
@@ -209,15 +209,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.seeds: need at least one seed")
     if cfg.train.episodes < 1:
         raise ConfigError("train.episodes: must be >= 1")
+    for key in ("theta_red", "theta_green"):
+        if getattr(ctrl, key) < 0:
+            raise ConfigError(f"controller.{key}: must be >= 0")
     # constructing these surfaces nested errors early, with their key prefix
     try:
         AgentConfig.from_dict(ctrl.agent)
     except (ConfigError, TypeError) as exc:
         raise ConfigError(f"controller.agent: {exc}") from None
     try:
-        WebsterParams(**{
-            k: tuple(v) if isinstance(v, list) else v for k, v in ctrl.webster.items()
-        })
+        WebsterParams(**_webster_overrides(ctrl))
     except (ConfigError, TypeError) as exc:
         raise ConfigError(f"controller.webster: {exc}") from None
 
@@ -314,18 +315,18 @@ def build_demand_fn(
     return make
 
 
+def _webster_overrides(ctrl: ControllerSection) -> dict:
+    """``controller.webster`` with YAML lists as the tuples WebsterParams holds."""
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in ctrl.webster.items()}
+
+
 def build_webster_params(cfg: ExperimentConfig,
                          intersection: IntersectionConfig) -> WebsterParams:
-    overrides = {
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in cfg.controller.webster.items()
-    }
-    defaults = dict(
-        loss_time_per_phase_s=float(intersection.transition_time_s),
-        saturation_headway_s=intersection.saturation_headway_s,
-    )
-    defaults.update(overrides)
-    return WebsterParams(**defaults)
+    return WebsterParams(**{
+        "loss_time_per_phase_s": float(intersection.transition_time_s),
+        "saturation_headway_s": intersection.saturation_headway_s,
+        **_webster_overrides(cfg.controller),
+    })
 
 
 def default_config_dict() -> dict:
@@ -340,11 +341,8 @@ def default_config_dict() -> dict:
         "controller": {
             **{k: v for k, v in vars(cfg.controller).items() if k not in ("webster", "agent")},
             "webster": {
-                "loss_time_per_phase_s": WebsterParams().loss_time_per_phase_s,
-                "saturation_headway_s": WebsterParams().saturation_headway_s,
-                "cycle_bounds_s": list(WebsterParams().cycle_bounds_s),
-                "green_bounds_s": list(WebsterParams().green_bounds_s),
-                "measurement_window_s": WebsterParams().measurement_window_s,
+                k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(WebsterParams()).items()
             },
             "agent": AgentConfig().to_dict(),
         },

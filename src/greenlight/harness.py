@@ -22,6 +22,7 @@ import numpy as np
 from .agent import (
     AgentConfig,
     DQNAgent,
+    QNetwork,
     TrainingResult,
     greedy_controller,
     train,
@@ -33,10 +34,12 @@ from .config import (
     build_demand_fn,
     build_network,
     build_webster_params,
+    validate_config,
     _mix_seed,
 )
 from .core import ConfigError, NetworkConfig, Vehicle
-from .metrics import EpisodeMetrics, check_identity, compute_metrics, detect_convergence
+from .metrics import EpisodeMetrics, check_identity, detect_convergence, pooled_metrics
+from .neural import gradient_check
 from .sim import BaseController, EpisodeResult, run_episode
 
 RESULTS_HEADER = "controller,seed,episode,avg_travel_time_s,avg_queue,throughput,converged_at"
@@ -70,41 +73,7 @@ def write_results_csv(path, rows: Sequence[ResultRow]) -> None:
 
 def aggregate_metrics(result: EpisodeResult) -> EpisodeMetrics:
     """Network-level metrics: vehicle-pooled delays, pooled queue totals."""
-    per = [
-        compute_metrics(log, result.reward_traces[i])
-        for i, log in enumerate(result.travel_logs)
-    ]
-    live = [m for m in per if not m.empty]
-    if len(per) == 1:
-        return per[0]
-    if not live:
-        return per[0]
-    total_w = sum(m.total_waiting_events for m in live)
-    vehicles = sum(m.vehicles for m in live)
-    trace_w = sum(m.trace_waiting_events for m in live)
-    firsts = [log.first_entry() for log in result.travel_logs if log.first_entry() is not None]
-    lasts = [log.last_departure() for log in result.travel_logs if log.last_departure() is not None]
-    tau = (max(lasts) - min(firsts)) if firsts and lasts else 0
-    lmu = live[0].free_flow_time_s
-    entered = sum(m.entered for m in live)
-    cens_num = sum(
-        (m.censored_avg_travel_time_s - lmu) * m.entered for m in live
-    )
-    return EpisodeMetrics(
-        avg_travel_time_s=(total_w / vehicles + lmu) if vehicles else float("nan"),
-        avg_delay_s=total_w / vehicles if vehicles else float("nan"),
-        throughput=vehicles,
-        avg_queue=trace_w / tau if tau > 0 else 0.0,
-        total_waiting_events=total_w,
-        trace_waiting_events=trace_w,
-        tau_s=tau,
-        vehicles=vehicles,
-        entered=entered,
-        pending=sum(m.pending for m in live),
-        censored_avg_travel_time_s=(cens_num / entered + lmu) if entered else float("nan"),
-        free_flow_time_s=lmu,
-        empty=False,
-    )
+    return pooled_metrics(result.travel_logs, result.reward_traces)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +160,6 @@ def run_seed(
     seed: int,
     *,
     controller_label: str | None = None,
-    agent_overrides: dict | None = None,
     check: bool = False,
 ) -> SeedOutcome:
     """Train (if learning) and evaluate one seed, returning result rows."""
@@ -207,11 +175,7 @@ def run_seed(
     training = None
     converged_at = None
     if ctrl_kind == "rl":
-        agent_cfg_dict = dict(cfg.controller.agent)
-        if agent_overrides:
-            agent_cfg_dict.update(agent_overrides)
-        agent_cfg = AgentConfig.from_dict(agent_cfg_dict)
-        agents = make_agents(network, agent_cfg, seed)
+        agents = make_agents(network, AgentConfig.from_dict(cfg.controller.agent), seed)
         train_horizon = cfg.train.horizon_s or horizon
         training = train(
             agents, network, demand_fn, cfg.train.episodes, train_horizon,
@@ -219,14 +183,12 @@ def run_seed(
         )
         converged_at = detect_convergence(training.travel_times()).converged_at
         factory = lambda episode: [greedy_controller(a) for a in agents]
-        eval_fn = lambda episode: deploy_fn(10_000 + episode)  # held-out draws
     else:
         factory = lambda episode: make_classic_controllers(cfg, network)
-        eval_fn = lambda episode: deploy_fn(10_000 + episode)
 
     metrics, _ = evaluate(
-        network, factory, eval_fn, cfg.run.episodes, horizon,
-        _mix_seed(seed, 2), check=check,
+        network, factory, lambda episode: deploy_fn(10_000 + episode),  # held-out draws
+        cfg.run.episodes, horizon, _mix_seed(seed, 2), check=check,
     )
     rows = [
         ResultRow(
@@ -243,26 +205,34 @@ def run_seed(
     return SeedOutcome(rows=rows, training=training)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
-                   *, check: bool = False) -> tuple[list[ResultRow], list[str]]:
-    """Full protocol over all seeds; writes results.csv and training curves."""
+def _run_points(cfg: ExperimentConfig, points: Sequence[tuple[str, ExperimentConfig]],
+                out_dir: str | None, *, check: bool = False,
+                ) -> tuple[list[ResultRow], list[str]]:
+    """Run every seed of every (label, config) point on `cfg`'s network;
+    writes results.csv, then one training curve per learning point and seed."""
     out_dir = out_dir if out_dir is not None else cfg.run.out_dir
     os.makedirs(out_dir, exist_ok=True)
     network = build_network(cfg)
     rows: list[ResultRow] = []
     written: list[str] = []
-    for seed in cfg.run.seeds:
-        outcome = run_seed(cfg, network, seed, check=check)
-        rows.extend(outcome.rows)
-        if outcome.training is not None:
-            curve_path = os.path.join(out_dir, f"curve_{cfg.controller.kind}_{seed}.csv")
-            with open(curve_path, "w", newline="\n") as fh:
-                write_curve_csv(fh, outcome.training)
-            written.append(curve_path)
+    for label, point in points:
+        for seed in cfg.run.seeds:
+            outcome = run_seed(point, network, seed, controller_label=label, check=check)
+            rows.extend(outcome.rows)
+            if outcome.training is not None:
+                curve_path = os.path.join(out_dir, f"curve_{label}_{seed}.csv")
+                with open(curve_path, "w", newline="\n") as fh:
+                    write_curve_csv(fh, outcome.training)
+                written.append(curve_path)
     results_path = os.path.join(out_dir, "results.csv")
     write_results_csv(results_path, rows)
-    written.insert(0, results_path)
-    return rows, written
+    return rows, [results_path] + written
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
+                   *, check: bool = False) -> tuple[list[ResultRow], list[str]]:
+    """Full protocol over all seeds; writes results.csv and training curves."""
+    return _run_points(cfg, [(cfg.controller.kind, cfg)], out_dir, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -277,65 +247,38 @@ ABLATION_VARIANTS: dict[str, dict] = {
 }
 
 
-def run_ablation_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
-                       ) -> tuple[list[ResultRow], list[str]]:
-    """One result block per behavioural variant of the learning agent."""
-    if cfg.controller.kind != "rl":
-        raise ConfigError("sweep.ablation: controller.kind must be 'rl'")
-    out_dir = out_dir if out_dir is not None else cfg.run.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    network = build_network(cfg)
-    rows: list[ResultRow] = []
-    written: list[str] = []
-    for label, overrides in ABLATION_VARIANTS.items():
-        for seed in cfg.run.seeds:
-            outcome = run_seed(
-                cfg, network, seed,
-                controller_label=label, agent_overrides=overrides,
-            )
-            rows.extend(outcome.rows)
-            if outcome.training is not None:
-                curve_path = os.path.join(out_dir, f"curve_{label}_{seed}.csv")
-                with open(curve_path, "w", newline="\n") as fh:
-                    write_curve_csv(fh, outcome.training)
-                written.append(curve_path)
-    results_path = os.path.join(out_dir, "results.csv")
-    write_results_csv(results_path, rows)
-    written.insert(0, results_path)
-    return rows, written
-
-
-def run_sotl_grid_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
-                        ) -> tuple[list[ResultRow], list[str]]:
-    """Grid search over the two actuation thresholds; each point runs as
-    ``run_seed`` does for a SOTL config with those thresholds."""
-    sweep = cfg.sweep or {}
-    reds = sweep.get("theta_red", [2.0, 4.0, 6.0])
-    greens = sweep.get("theta_green", [1.0, 2.0, 3.0])
-    out_dir = out_dir if out_dir is not None else cfg.run.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    network = build_network(cfg)
-    rows: list[ResultRow] = []
-    for red in reds:
-        for green in greens:
-            point = replace(cfg, controller=replace(
-                cfg.controller, kind="sotl", theta_red=red, theta_green=green))
-            label = f"sotl[r={red:g},g={green:g}]"
-            for seed in cfg.run.seeds:
-                rows.extend(run_seed(point, network, seed, controller_label=label).rows)
-    results_path = os.path.join(out_dir, "results.csv")
-    write_results_csv(results_path, rows)
-    return rows, [results_path]
-
-
 def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
               ) -> tuple[list[ResultRow], list[str]]:
-    kind = (cfg.sweep or {}).get("kind", "ablation")
+    """The configured sweep, every point validated before the first run.
+
+    ``ablation`` runs each behavioural variant of the learning agent;
+    ``sotl-grid`` runs SOTL at every pair of the two actuation thresholds.
+    """
+    sweep = cfg.sweep or {}
+    kind = sweep.get("kind", "ablation")
     if kind == "ablation":
-        return run_ablation_sweep(cfg, out_dir)
-    if kind == "sotl-grid":
-        return run_sotl_grid_sweep(cfg, out_dir)
-    raise ConfigError(f"sweep.kind: unknown sweep {kind!r}")
+        if cfg.controller.kind != "rl":
+            raise ConfigError("sweep.ablation: controller.kind must be 'rl'")
+        points = [
+            (label, replace(cfg, controller=replace(
+                cfg.controller, agent={**cfg.controller.agent, **overrides})))
+            for label, overrides in ABLATION_VARIANTS.items()
+        ]
+    elif kind == "sotl-grid":
+        points = [
+            (f"sotl[r={red:g},g={green:g}]", replace(cfg, controller=replace(
+                cfg.controller, kind="sotl", theta_red=red, theta_green=green)))
+            for red in sweep.get("theta_red", [2.0, 4.0, 6.0])
+            for green in sweep.get("theta_green", [1.0, 2.0, 3.0])
+        ]
+    else:
+        raise ConfigError(f"sweep.kind: unknown sweep {kind!r}")
+    for label, point in points:
+        try:
+            validate_config(point)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep point {label}: {exc}") from None
+    return _run_points(cfg, points, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +293,6 @@ def gradcheck_qnetworks(count: int = 20, seed: int = 0,
     random batch through the agent's masked-MSE loss; returns the list of
     GradCheckResult objects.
     """
-    from .agent import QNetwork
-    from .neural import gradient_check
-
     rng = np.random.default_rng(seed)
     results = []
     for _ in range(count):

@@ -27,7 +27,7 @@ from .sim import TravelLog
 
 @dataclass
 class EpisodeMetrics:
-    """Travel/queue statistics of one intersection's episode."""
+    """Travel/queue statistics of one episode, per intersection or pooled."""
 
     avg_travel_time_s: float        # mean delay + l/mu over departed vehicles
     avg_delay_s: float
@@ -60,29 +60,34 @@ def censored_avg_travel_time(log: TravelLog, horizon_s: int) -> float | None:
 
 def compute_metrics(log: TravelLog, reward_trace: Sequence[float] | np.ndarray,
                     ) -> EpisodeMetrics:
-    """Summarize one episode from its travel log and reward trace."""
-    trace = np.asarray(reward_trace, dtype=float)
-    trace_w = int(round(-float(trace.sum())))
-    horizon = len(trace)
-    entered = log.entered_count()
-    if entered == 0:
-        return EpisodeMetrics(
-            avg_travel_time_s=float("nan"), avg_delay_s=float("nan"),
-            throughput=0, avg_queue=0.0, total_waiting_events=0,
-            trace_waiting_events=trace_w, tau_s=0, vehicles=0, entered=0,
-            pending=0, censored_avg_travel_time_s=float("nan"),
-            free_flow_time_s=log.free_flow_time_s, empty=True,
-        )
-    delays = log.delays()
+    """Summarize one intersection's episode from its travel log and reward trace."""
+    return pooled_metrics([log], [reward_trace])
+
+
+def pooled_metrics(logs: Sequence[TravelLog],
+                   reward_traces: Sequence[Sequence[float] | np.ndarray]) -> EpisodeMetrics:
+    """Network-level metrics: each vehicle counted once per hop it entered.
+
+    Delays, trace waiting, censored waiting and counts are integer totals
+    over all logs; tau runs from the earliest entry to the latest departure.
+    The free-flow time is that of the first log with entries.
+    """
+    entered = sum(log.entered_count() for log in logs)
+    delays = [d for log in logs for d in log.delays()]
     departed = len(delays)
-    pending = entered - departed
-    first = log.first_entry()
-    last = log.last_departure()
-    tau = (last - first) if (last is not None and first is not None) else 0
     total_w = int(sum(delays))
+    trace_w = sum(int(round(-float(np.asarray(trace, dtype=float).sum())))
+                  for trace in reward_traces)
+    censored_w = sum(log.censored_waiting(len(trace))
+                     for log, trace in zip(logs, reward_traces))
+    firsts = [t for t in (log.first_entry() for log in logs) if t is not None]
+    lasts = [t for t in (log.last_departure() for log in logs) if t is not None]
+    tau = max(lasts) - min(firsts) if lasts else 0
+    lmu = next((log.free_flow_time_s for log in logs if log.entered_count()),
+               logs[0].free_flow_time_s)
     avg_delay = total_w / departed if departed else float("nan")
     return EpisodeMetrics(
-        avg_travel_time_s=avg_delay + log.free_flow_time_s if departed else float("nan"),
+        avg_travel_time_s=avg_delay + lmu,
         avg_delay_s=avg_delay,
         throughput=departed,
         avg_queue=trace_w / tau if tau > 0 else 0.0,
@@ -91,10 +96,10 @@ def compute_metrics(log: TravelLog, reward_trace: Sequence[float] | np.ndarray,
         tau_s=tau,
         vehicles=departed,
         entered=entered,
-        pending=pending,
-        censored_avg_travel_time_s=censored_avg_travel_time(log, horizon),
-        free_flow_time_s=log.free_flow_time_s,
-        empty=False,
+        pending=entered - departed,
+        censored_avg_travel_time_s=censored_w / entered + lmu if entered else float("nan"),
+        free_flow_time_s=lmu,
+        empty=entered == 0,
     )
 
 

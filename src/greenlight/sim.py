@@ -111,9 +111,6 @@ class TravelLog:
     def entered_count(self) -> int:
         return len(self.records)
 
-    def departed_count(self) -> int:
-        return sum(1 for r in self.records.values() if r.depart_s is not None)
-
     def delays(self) -> list[int]:
         """Waiting steps (depart - ready) of every departed vehicle."""
         return [r.depart_s - r.ready_s for r in self.records.values() if r.depart_s is not None]
@@ -259,9 +256,6 @@ class IntersectionSim:
         self._arrivals[self.entry_step(entry_time_s)].append((vehicle_id, lane_idx))
 
     # -- observation ---------------------------------------------------------
-
-    def observe(self) -> Observation:
-        return self._observation
 
     def _measure(self, green_mask: np.ndarray) -> LaneMeasures:
         """Per-lane measures of the current state; read-only, shared with the

@@ -142,12 +142,6 @@ def test_reward_modes_on_measures():
     assert combo == pytest.approx(-3.0)
 
 
-def test_reward_queue_mode_accepts_bare_vector():
-    assert compute_reward(np.array([2, 3]), RewardMode.QUEUE) == -5.0
-    with pytest.raises(ConfigError):
-        compute_reward(np.array([2, 3]), RewardMode.WAITING)
-
-
 # -- q-network ---------------------------------------------------------------
 
 

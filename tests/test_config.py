@@ -163,6 +163,8 @@ def test_load_config_empty_file_is_default_config(tmp_path):
     ({"run": {"episodes": 0}}, r"run\.episodes"),
     ({"run": {"seeds": []}}, r"run\.seeds"),
     ({"train": {"episodes": 0}}, r"train\.episodes"),
+    ({"controller": {"theta_red": -1}}, r"controller\.theta_red"),
+    ({"controller": {"theta_green": -0.5}}, r"controller\.theta_green"),
 ])
 def test_validate_config_rejects_bad_sections(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):

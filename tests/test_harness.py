@@ -310,7 +310,8 @@ def test_ablation_variants_cover_the_three_traits():
 
 def test_run_ablation_sweep_writes_one_curve_per_variant(tmp_path):
     cfg = rl_cfg(tmp_path, train_episodes=1)
-    rows, written = harness.run_ablation_sweep(cfg)
+    cfg.sweep = {"kind": "ablation"}
+    rows, written = harness.run_sweep(cfg)
     assert [r.controller for r in rows] == list(harness.ABLATION_VARIANTS)
     assert written[0].endswith("results.csv")
     names = [os.path.basename(p) for p in written[1:]]
@@ -321,14 +322,42 @@ def test_run_ablation_sweep_writes_one_curve_per_variant(tmp_path):
 
 def test_run_ablation_sweep_requires_learning_controller(tmp_path):
     cfg = classic_cfg(tmp_path)
+    cfg.sweep = {"kind": "ablation"}
     with pytest.raises(ConfigError, match="rl"):
-        harness.run_ablation_sweep(cfg)
+        harness.run_sweep(cfg)
+
+
+def test_run_sweep_ablation_points_equal_runs_with_the_variant_overrides(tmp_path):
+    cfg = rl_cfg(tmp_path / "sweep", train_episodes=1)
+    cfg.run.seeds = [0, 1]
+    cfg.sweep = {"kind": "ablation"}
+    swept, _ = harness.run_sweep(cfg)
+    for label, overrides in harness.ABLATION_VARIANTS.items():
+        single = rl_cfg(tmp_path / label, train_episodes=1, agent={**TINY_AGENT, **overrides})
+        single.run.seeds = [0, 1]
+        rows, _ = harness.run_experiment(single)
+        assert [dataclasses.replace(r, controller=label).csv() for r in rows] == [
+            r.csv() for r in swept if r.controller == label]
+        for seed in (0, 1):
+            assert ((tmp_path / "sweep" / f"curve_{label}_{seed}.csv").read_bytes()
+                    == (tmp_path / label / f"curve_rl_{seed}.csv").read_bytes())
+
+
+def test_run_sweep_rejects_a_bad_point_before_any_seed_runs(tmp_path, monkeypatch):
+    cfg = classic_cfg(tmp_path, seeds=[0, 1], episodes=1)
+    cfg.sweep = {"kind": "sotl-grid", "theta_red": [2.0, 4.0, -1.0], "theta_green": [1.0, 2.0]}
+    runs = []
+    monkeypatch.setattr(harness, "run_seed", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ConfigError, match=r"sotl\[r=-1,g=1\]: controller\.theta_red"):
+        harness.run_sweep(cfg)
+    assert runs == []
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_run_sotl_grid_sweep_labels_and_rows(tmp_path):
     cfg = classic_cfg(tmp_path, episodes=1)
     cfg.sweep = {"kind": "sotl-grid", "theta_red": [3.0], "theta_green": [1.0, 2.5]}
-    rows, written = harness.run_sotl_grid_sweep(cfg)
+    rows, written = harness.run_sweep(cfg)
     assert [r.controller for r in rows] == ["sotl[r=3,g=1]", "sotl[r=3,g=2.5]"]
     assert all(r.converged_at is None for r in rows)
     assert written == [os.path.join(str(tmp_path), "results.csv")]

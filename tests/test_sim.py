@@ -104,7 +104,7 @@ def test_red_lane_vehicle_waits_and_is_censored():
     rewards = []
     for _ in range(40):
         rewards.append(sim.step(KEEP).reward)
-    assert sim.log.entered_count() - sim.log.departed_count() == 1
+    assert sim.log.entered_count() - len(sim.log.delays()) == 1
     # queued (post-movement) from ready=30 through t=39: ten snapshots
     assert rewards[:30] == [0.0] * 30
     assert rewards[30:] == [-1.0] * 10
@@ -218,8 +218,8 @@ def test_observation_reports_outgoing_phase_mid_transition():
         sim.step(KEEP)
     sim.step(CHANGE)  # t=5: transition begins
     assert sim.state.transition_countdown_s == 5
-    assert sim.observe().phase_index == 0
     ctx = sim.control_context()
+    assert ctx.observation.phase_index == 0
     assert ctx.in_transition
     assert not ctx.green_mask.any()
 
@@ -344,8 +344,8 @@ def test_partial_route_is_not_a_network_departure():
     demand = [Vehicle(0, 0.0, route)]
     controllers = [AlwaysKeepController(), AlwaysKeepController()]
     result = run_episode(net, controllers, demand, horizon_s=70)
-    assert result.travel_logs[0].departed_count() == 1
-    assert result.travel_logs[1].departed_count() == 0
+    assert len(result.travel_logs[0].delays()) == 1
+    assert len(result.travel_logs[1].delays()) == 0
     assert result.network_departures == 0
 
 

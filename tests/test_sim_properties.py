@@ -127,7 +127,7 @@ def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells, 
         all_red.append(not out.measures.green_mask.any())
         reward_sum += out.reward
         log = sim.log
-        assert log.entered_count() == log.departed_count() + int(out.measures.counts.sum())
+        assert log.entered_count() == len(log.delays()) + int(out.measures.counts.sum())
         assert -reward_sum == log.censored_waiting(t + 1)
         expected = occupancy_reference(cfg, log, lane_of, t + 1, cells)
         assert np.array_equal(sim.occupancy_vector(cells), expected)
