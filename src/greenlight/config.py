@@ -17,7 +17,7 @@ YAML syntax errors carry the line reported by the parser.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Sequence
 
 import yaml
@@ -179,17 +179,67 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(data, source_path=path)
 
 
+_NUMBER_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _admits(annotation: str, value: Any) -> bool:
+    """Whether `value` has the numeric type a field annotation names.
+
+    bool, a subclass of int, passes only where the annotation says bool;
+    annotations naming no number (strings, enums, mappings) admit anything,
+    since the code reading them checks them.
+    """
+    if annotation.endswith(" | None"):
+        return value is None or _admits(annotation[:-len(" | None")], value)
+    if annotation.startswith("dict["):
+        item = annotation[:-1].split(", ")[-1]
+        return isinstance(value, dict) and all(_admits(item, v) for v in value.values())
+    if annotation.startswith(("tuple[", "list[")):
+        item = annotation[annotation.index("[") + 1:].split(",")[0].rstrip("]")
+        return isinstance(value, (list, tuple)) and all(_admits(item, v) for v in value)
+    types = _NUMBER_TYPES.get(annotation)
+    if types is None:
+        return True
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
+def _check_types(section: Any, key: str) -> None:
+    """Reject a field whose value is not of its annotated numeric type, such
+    as a quoted YAML number, before any comparison reads it."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if not _admits(f.type, value):
+            raise ConfigError(f"{key}.{f.name}: expected {f.type}, got {value!r}")
+
+
+def _check_demand_numbers(section: DemandSection, key: str) -> None:
+    rates = section.rate_vph
+    for rate in rates.values() if isinstance(rates, dict) else [rates]:
+        if not _admits("float", rate):
+            raise ConfigError(f"{key}.rate_vph: expected a number or a mapping "
+                              f"of lane labels to numbers, got {rates!r}")
+    for window in section.peak_windows:
+        if not _admits("list[float]", window) or len(window) != 2:
+            raise ConfigError(f"{key}.peak_windows: expected [start, end] pairs of "
+                              f"numbers, got {window!r}")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     net, dem, ctrl, run = cfg.network, cfg.demand, cfg.controller, cfg.run
+    demands = [("demand", dem)] + ([("deploy_demand", cfg.deploy_demand)]
+                                   if cfg.deploy_demand else [])
+    for key, section in [("network", net), ("controller", ctrl), ("run", run),
+                         ("train", cfg.train)] + demands:
+        _check_types(section, key)
+    for key, section in demands:
+        _check_demand_numbers(section, key)
     if net.kind not in NETWORK_KINDS:
         raise ConfigError(f"network.kind: {net.kind!r} not in {NETWORK_KINDS}")
     if net.phases not in (2, 4):
         raise ConfigError(f"network.phases: {net.phases} (expected 2 or 4)")
     if net.kind == "grid" and (net.rows < 1 or net.cols < 1):
         raise ConfigError("network.rows/cols: must be >= 1")
-    for section_name, section in [("demand", dem)] + (
-        [("deploy_demand", cfg.deploy_demand)] if cfg.deploy_demand else []
-    ):
+    for section_name, section in demands:
         if section.kind not in DEMAND_KINDS:
             raise ConfigError(f"{section_name}.kind: {section.kind!r} not in {DEMAND_KINDS}")
         if section.kind == "file" and not section.path:
@@ -214,13 +264,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"controller.{key}: must be >= 0")
     # constructing these surfaces nested errors early, with their key prefix
     try:
-        AgentConfig.from_dict(ctrl.agent)
+        agent = AgentConfig.from_dict(ctrl.agent)
     except (ConfigError, TypeError) as exc:
         raise ConfigError(f"controller.agent: {exc}") from None
+    _check_types(agent, "controller.agent")
     try:
-        WebsterParams(**_webster_overrides(ctrl))
+        webster = WebsterParams(**_webster_overrides(ctrl))
     except (ConfigError, TypeError) as exc:
         raise ConfigError(f"controller.webster: {exc}") from None
+    _check_types(webster, "controller.webster")
 
 
 # ---------------------------------------------------------------------------

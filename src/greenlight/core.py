@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class ConfigError(ValueError):
@@ -157,8 +158,15 @@ class IntersectionConfig:
     def transition_time_s(self) -> int:
         return self.yellow_s + self.all_red_s
 
-    def lane_index(self, lane: LaneId) -> int:
-        return self.lanes.index(lane)
+    @cached_property
+    def _lane_indices(self) -> dict[tuple[int, Approach, Movement], int]:
+        # keyed by the id's fields: a plain tuple hashes and compares in C,
+        # a LaneId through its generated Python methods
+        return {(l.intersection, l.approach, l.movement): j for j, l in enumerate(self.lanes)}
+
+    def lane_index(self, lane: LaneId) -> int | None:
+        """Index j of `lane` in every per-lane vector; None if it is not here."""
+        return self._lane_indices.get((lane.intersection, lane.approach, lane.movement))
 
     def green_lane_indices(self, phase_index: int) -> tuple[int, ...]:
         phase = self.phases[phase_index]
@@ -212,7 +220,7 @@ class NetworkConfig:
     def has_lane(self, lane: LaneId) -> bool:
         if not (0 <= lane.intersection < len(self.intersections)):
             return False
-        return lane in self.intersections[lane.intersection].lanes
+        return self.intersections[lane.intersection].lane_index(lane) is not None
 
 
 def build_standard_intersection(

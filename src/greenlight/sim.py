@@ -25,12 +25,13 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .core import ConfigError, IntersectionConfig, LaneId, NetworkConfig, Vehicle
+from .core import ConfigError, IntersectionConfig, LaneId, NetworkConfig, Vehicle, exit_approach
 
 log = logging.getLogger(__name__)
 
@@ -63,8 +64,13 @@ class LaneMeasures:
     queues: np.ndarray            # q_j, vehicles stopped at the line
     counts: np.ndarray            # v_j, all vehicles on the lane
     waiting_steps: np.ndarray     # summed waiting-so-far of queued vehicles
-    stopped_fraction: np.ndarray  # q_j / v_j (0 where the lane is empty)
     green_mask: np.ndarray        # c_j for the step just executed
+
+    @cached_property
+    def stopped_fraction(self) -> np.ndarray:
+        """q_j / v_j, 0 where the lane is empty; computed on first read,
+        since only the ``delay`` reward, alone or weighted, reads it."""
+        return _read_only(self.queues / np.maximum(self.counts, 1))
 
 
 @dataclass
@@ -238,7 +244,7 @@ class IntersectionSim:
             ignored_actions=0,
         )
         # The measures of the last step stay valid until the next one.
-        self._measures = self._measure(self._green_masks[0])
+        self._measures, _ = self._measure(self._green_masks[0])
         self._observation = Observation(self._measures.counts, 0)
 
     # -- demand loading ------------------------------------------------------
@@ -249,28 +255,28 @@ class IntersectionSim:
         return math.ceil(entry_time_s - 1e-9)
 
     def schedule_arrival(self, vehicle_id: int, lane: LaneId, entry_time_s: float) -> None:
-        try:
-            lane_idx = self.config.lane_index(lane)
-        except ValueError:
-            raise ConfigError(f"demand_lane: lane {lane} does not exist at this intersection") from None
+        lane_idx = self.config.lane_index(lane)
+        if lane_idx is None:
+            raise ConfigError(f"demand_lane: lane {lane} does not exist at this intersection")
         self._arrivals[self.entry_step(entry_time_s)].append((vehicle_id, lane_idx))
 
     # -- observation ---------------------------------------------------------
 
-    def _measure(self, green_mask: np.ndarray) -> LaneMeasures:
-        """Per-lane measures of the current state; read-only, shared with the
-        next control context."""
+    def _measure(self, green_mask: np.ndarray) -> tuple[LaneMeasures, int]:
+        """Per-lane measures of the current state and the summed queue.
+
+        The three rows are views of one read-only integer table, built from
+        one flat list of Python ints and shared with the next control context.
+        """
         lanes = self.state.lanes
         now = self.state.clock_s
         queued = [l.ready - l.departed for l in lanes]
-        queues, counts, waiting = _read_only(np.array([
-            queued,
-            [len(l.ready_steps) - l.departed for l in lanes],
-            # a vehicle queued since step r has waited through steps r .. now - 1
-            [now * q - l.ready_sum for q, l in zip(queued, lanes)],
-        ], dtype=np.int64))
-        stopped = _read_only(queues / np.maximum(counts, 1))  # an empty lane has no queue: 0
-        return LaneMeasures(queues, counts, waiting, stopped, green_mask)
+        flat = (queued
+                + [len(l.ready_steps) - l.departed for l in lanes]
+                # a vehicle queued since step r has waited through steps r .. now - 1
+                + [now * q - l.ready_sum for q, l in zip(queued, lanes)])
+        queues, counts, waiting = _read_only(np.array(flat, dtype=np.int64)).reshape(3, -1)
+        return LaneMeasures(queues, counts, waiting, green_mask), sum(queued)
 
     def occupancy_vector(self, cells_per_lane: int) -> np.ndarray:
         """Coarse per-lane occupancy grid, cell 0 at the lane entrance.
@@ -391,11 +397,11 @@ class IntersectionSim:
         if green_now:
             st.green_elapsed_s += 1
         mask = self._green_masks[st.current_phase_index] if green_now else self._red_mask
-        self._measures = self._measure(mask)
+        self._measures, queued = self._measure(mask)
         self._observation = Observation(self._measures.counts, st.current_phase_index)
         return StepOutcome(
             observation=self._observation,
-            reward=float(-int(self._measures.queues.sum())),  # int negation avoids -0.0
+            reward=float(-queued),  # int negation avoids -0.0
             departures=departures,
             clock_s=t,
             measures=self._measures,
@@ -421,13 +427,27 @@ class EpisodeResult:
 
 
 def validate_demand(network: NetworkConfig, demand: Sequence[Vehicle]) -> None:
-    """Fail fast before simulation if any route references a missing lane."""
+    """Fail fast before simulation on a route that references a missing lane,
+    does not follow a network link from one hop to the next, or enters an
+    intersection twice (each intersection logs a vehicle once)."""
+    links = network.links
     for veh in demand:
-        for lane in veh.route:
+        route = veh.route
+        for lane in route:
             if not network.has_lane(lane):
                 raise ConfigError(
                     f"demand_route: vehicle {veh.id} references missing lane {lane}"
                 )
+        for prev, lane in zip(route, route[1:]):
+            out = exit_approach(prev.approach, prev.movement)
+            if links.get((prev.intersection, out)) != (lane.intersection, lane.approach):
+                raise ConfigError(
+                    f"demand_route: vehicle {veh.id} cannot reach {lane} from {prev}: no "
+                    f"link from the {out.value} exit of intersection {prev.intersection} "
+                    f"to that approach"
+                )
+        if len({lane.intersection for lane in route}) < len(route):
+            raise ConfigError(f"demand_route: vehicle {veh.id} enters an intersection twice")
 
 
 def run_episode(

@@ -47,7 +47,6 @@ def make_measures() -> LaneMeasures:
         queues=np.array([2, 0]),
         counts=np.array([3, 1]),
         waiting_steps=np.array([4, 0]),
-        stopped_fraction=np.array([2.0 / 3.0, 0.0]),
         green_mask=np.array([True, False]),
     )
 

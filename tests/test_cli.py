@@ -204,6 +204,17 @@ def test_validate_config_bad_yaml_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [
+    ("run:\n  horizon_s: \"600\"\n", "run.horizon_s"),
+    ("controller:\n  phase_duration_s: \"30\"\n", "controller.phase_duration_s"),
+])
+def test_validate_config_quoted_number_exits_1(tmp_path, capsys, text, key):
+    path = write_yaml(tmp_path, text)
+    assert cli.main(["validate-config", "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_show_defaults_round_trips_through_parser(capsys):
     assert cli.main(["show-defaults"]) == cli.EXIT_OK
     doc = yaml.safe_load(capsys.readouterr().out)

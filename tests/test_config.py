@@ -165,6 +165,26 @@ def test_load_config_empty_file_is_default_config(tmp_path):
     ({"train": {"episodes": 0}}, r"train\.episodes"),
     ({"controller": {"theta_red": -1}}, r"controller\.theta_red"),
     ({"controller": {"theta_green": -0.5}}, r"controller\.theta_green"),
+    # quoted YAML numbers, floats where counts belong, and bools as numbers
+    ({"run": {"horizon_s": "600"}}, r"run\.horizon_s: expected int, got '600'"),
+    ({"run": {"horizon_s": 600.0}}, r"run\.horizon_s: expected int"),
+    ({"run": {"seeds": [0, "1"]}}, r"run\.seeds: expected list\[int\]"),
+    ({"controller": {"phase_duration_s": "30"}}, r"controller\.phase_duration_s"),
+    ({"controller": {"theta_red": True}}, r"controller\.theta_red"),
+    ({"network": {"min_green_s": "5"}}, r"network\.min_green_s"),
+    ({"network": {"road_length_m": "300"}}, r"network\.road_length_m"),
+    ({"train": {"horizon_s": "60"}}, r"train\.horizon_s: expected int \| None"),
+    ({"demand": {"rate_vph": "550"}}, r"demand\.rate_vph"),
+    ({"demand": {"rate_vph": {"WT": "300"}}}, r"demand\.rate_vph"),
+    ({"demand": {"fresh_each_episode": "no"}}, r"demand\.fresh_each_episode"),
+    ({"deploy_demand": {"peak_windows": [["0", 600]]}}, r"deploy_demand\.peak_windows"),
+    ({"deploy_demand": {"peak_windows": [[0, 600, 900]]}}, r"deploy_demand\.peak_windows"),
+    ({"controller": {"agent": {"learning_rate": "1e-3"}}}, r"controller\.agent\.learning_rate"),
+    ({"controller": {"agent": {"hidden_dims": [8, "8"]}}}, r"controller\.agent\.hidden_dims"),
+    ({"controller": {"agent": {"reward_mode": "weighted", "reward_weights": {"queue": "1"}}}},
+     r"controller\.agent\.reward_weights"),
+    ({"controller": {"webster": {"measurement_window_s": 60.5}}},
+     r"controller\.webster\.measurement_window_s"),
 ])
 def test_validate_config_rejects_bad_sections(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -322,6 +322,32 @@ def test_validate_demand_rejects_missing_lane():
         run_episode(net, [AlwaysKeepController()], bad, horizon_s=10)
 
 
+@pytest.mark.parametrize("grid, phases, route, match", [
+    # 0 -> 2 on a 1x3 grid skips intersection 1: the east exit of 0 feeds 1
+    ((1, 3), 2, (lane("WT", 0), lane("WT", 2)), "cannot reach 2:WT from 0:WT"),
+    ((1, 3), 2, (lane("WT", 0), lane("WT", 0)), "cannot reach 0:WT from 0:WT"),
+    # a left-turn loop round a 2x2 grid follows every link back into 2
+    ((2, 2), 4, (lane("WT", 2), lane("WL", 3), lane("SL", 1), lane("EL", 0), lane("NL", 2)),
+     "enters an intersection twice"),
+])
+def test_validate_demand_rejects_unlinked_hops_and_revisits(grid, phases, route, match):
+    net = build_grid_network(*grid, build_standard_intersection(phases))
+    demand = [Vehicle(0, 0.0, route)]
+    with pytest.raises(ConfigError, match=match):
+        validate_demand(net, demand)
+    decisions = []
+
+    class Recording(AlwaysKeepController):
+        def decide(self, ctx):
+            decisions.append(ctx.clock_s)
+            return KEEP
+
+    with pytest.raises(ConfigError, match=match):
+        run_episode(net, [Recording() for _ in range(net.intersection_count)], demand,
+                    horizon_s=400)
+    assert decisions == []
+
+
 def test_route_advances_across_grid_link():
     # 1x2 grid, both phase-0 greens include WT: departs intersection 0 at 30,
     # travels the 30s link, enters intersection 1 at 60, ready at 90, departs

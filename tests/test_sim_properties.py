@@ -1,5 +1,6 @@
 """Property tests: the point-queue engine against per-vehicle references."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,21 @@ def occupancy_reference(cfg, log, lane_of, now, cells):
     return grid
 
 
+def measures_reference(cfg, log, lane_of, now):
+    """Per-lane queues, vehicle counts and waiting steps, vehicle by vehicle:
+    a vehicle ready at step r < now is queued and has waited now - r steps."""
+    queues, counts, waiting = ([0] * cfg.lane_count for _ in range(3))
+    for vid, rec in log.records.items():
+        if rec.depart_s is not None:
+            continue
+        j = lane_of[vid]
+        counts[j] += 1
+        if rec.ready_s < now:
+            queues[j] += 1
+            waiting[j] += now - rec.ready_s
+    return queues, counts, waiting
+
+
 @settings(max_examples=60, deadline=None)
 @given(scenarios(), st.integers(1, 40), st.sampled_from([0.0, 1.0, 4.0]),
        st.sampled_from([1.0, 2.0, 5.0]))
@@ -128,6 +144,14 @@ def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells, 
         reward_sum += out.reward
         log = sim.log
         assert log.entered_count() == len(log.delays()) + int(out.measures.counts.sum())
+        queues, counts, waiting = measures_reference(cfg, log, lane_of, t + 1)
+        assert out.measures.queues.tolist() == queues
+        assert out.measures.counts.tolist() == counts
+        assert out.measures.waiting_steps.tolist() == waiting
+        assert out.measures.stopped_fraction.tolist() == [q / max(v, 1)
+                                                          for q, v in zip(queues, counts)]
+        assert out.reward == -sum(queues)
+        assert math.copysign(1.0, out.reward) == (-1.0 if any(queues) else 1.0)  # no -0.0
         assert -reward_sum == log.censored_waiting(t + 1)
         expected = occupancy_reference(cfg, log, lane_of, t + 1, cells)
         assert np.array_equal(sim.occupancy_vector(cells), expected)
