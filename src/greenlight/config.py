@@ -218,6 +218,9 @@ def _check_demand_numbers(section: DemandSection, key: str) -> None:
         if not _admits("float", rate):
             raise ConfigError(f"{key}.rate_vph: expected a number or a mapping "
                               f"of lane labels to numbers, got {rates!r}")
+    if not isinstance(section.peak_windows, (list, tuple)):
+        raise ConfigError(f"{key}.peak_windows: expected a list of [start, end] "
+                          f"pairs, got {section.peak_windows!r}")
     for window in section.peak_windows:
         if not _admits("list[float]", window) or len(window) != 2:
             raise ConfigError(f"{key}.peak_windows: expected [start, end] pairs of "

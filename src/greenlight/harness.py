@@ -35,6 +35,7 @@ from .config import (
     build_network,
     build_webster_params,
     validate_config,
+    _admits,
     _mix_seed,
 )
 from .core import ConfigError, NetworkConfig, Vehicle
@@ -265,11 +266,16 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
             for label, overrides in ABLATION_VARIANTS.items()
         ]
     elif kind == "sotl-grid":
+        reds = sweep.get("theta_red", [2.0, 4.0, 6.0])
+        greens = sweep.get("theta_green", [1.0, 2.0, 3.0])
+        for key, values in (("theta_red", reds), ("theta_green", greens)):
+            if not _admits("list[float]", values):
+                raise ConfigError(f"sweep.{key}: expected list[float], got {values!r}")
         points = [
             (f"sotl[r={red:g},g={green:g}]", replace(cfg, controller=replace(
                 cfg.controller, kind="sotl", theta_red=red, theta_green=green)))
-            for red in sweep.get("theta_red", [2.0, 4.0, 6.0])
-            for green in sweep.get("theta_green", [1.0, 2.0, 3.0])
+            for red in reds
+            for green in greens
         ]
     else:
         raise ConfigError(f"sweep.kind: unknown sweep {kind!r}")

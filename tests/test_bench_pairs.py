@@ -38,3 +38,10 @@ def test_summary_tallies_each_metric_in_its_better_direction():
     assert (setup["change_wins"], setup["change_losses"], setup["ties"]) == (1, 1, 1)
     assert rate["parent"]["n"] == 4 and rate["change"]["n"] == 3
     assert rate["change_over_parent"] == pytest.approx(140 / 100)
+
+
+def test_fewer_than_ten_pairs_are_refused():
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", ".", "--change", ".", "--pairs", "9",
+                          "--seed", "1", "--out", "unused.json"])
+    assert exc.value.code == 2

@@ -158,6 +158,25 @@ def test_sweep_sotl_grid(tmp_path, capsys):
     assert "sotl[r=4,g=2]" in text
 
 
+@pytest.mark.parametrize("thresholds", [
+    "theta_red: [\"2\"]",
+    "theta_green: [1.0, \"2\"]",
+    "theta_red: 4",
+])
+def test_sweep_sotl_grid_bad_threshold_exits_1(tmp_path, capsys, thresholds):
+    path = write_yaml(tmp_path, f"""\
+        run:
+          out_dir: {tmp_path}/out
+        sweep:
+          kind: sotl-grid
+          {thresholds}
+    """)
+    assert cli.main(["sweep", "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "sweep.theta_" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

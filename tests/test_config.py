@@ -179,6 +179,8 @@ def test_load_config_empty_file_is_default_config(tmp_path):
     ({"demand": {"fresh_each_episode": "no"}}, r"demand\.fresh_each_episode"),
     ({"deploy_demand": {"peak_windows": [["0", 600]]}}, r"deploy_demand\.peak_windows"),
     ({"deploy_demand": {"peak_windows": [[0, 600, 900]]}}, r"deploy_demand\.peak_windows"),
+    ({"demand": {"peak_windows": None}}, r"demand\.peak_windows"),
+    ({"demand": {"peak_windows": 5}}, r"demand\.peak_windows"),
     ({"controller": {"agent": {"learning_rate": "1e-3"}}}, r"controller\.agent\.learning_rate"),
     ({"controller": {"agent": {"hidden_dims": [8, "8"]}}}, r"controller\.agent\.hidden_dims"),
     ({"controller": {"agent": {"reward_mode": "weighted", "reward_weights": {"queue": "1"}}}},

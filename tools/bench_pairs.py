@@ -1,6 +1,6 @@
 """Run alternating parent/change pairs of the benchmark and summarise them.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --pairs 5 \
+    python3 tools/bench_pairs.py --parent ../parent --change . --pairs 10 \
         --seed 101 --out BENCH_6.json
 
 ``--parent`` and ``--change`` are two checkouts of the repository, for
@@ -9,8 +9,8 @@ Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
 parent first in even pairs and the change first in odd ones; pairs cycle
 through the workloads, so drift on a shared host reaches every workload and
 both sides alike.  The workloads, the end-to-end metrics with their better
-direction, and the default run length come from the change's
-``BENCHMARK.json``.
+direction, and the run length come from the change's ``BENCHMARK.json``.
+A gain needs at least ten pairs to be told from noise, so fewer are refused.
 
 The output JSON holds every run's final JSON line (or its exit code and last
 output lines when it printed none) and, per workload and end-to-end metric,
@@ -27,6 +27,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+MIN_PAIRS = 10
 
 
 def load_benchmark(checkout: str) -> dict:
@@ -98,18 +100,16 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; BENCHMARK.json's run_seconds by default")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be >= {MIN_PAIRS}")
 
     bench = load_benchmark(args.change)
     chosen = [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     pairs: dict[str, list[dict]] = {w: [] for w in chosen}
