@@ -233,32 +233,31 @@ class QNetwork:
             + [h.weight.ravel() for h in heads] + [h.bias for h in heads]
         ))
 
-    def _split(self, flat: np.ndarray
-               ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-        """Views into ``flat``: trunk (weight, bias) pairs, head weights, head biases."""
-        dims = [self.input_dim, *self.hidden_dims]
-        trunk, at = [], 0
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            weight = flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in)
-            at += weight.size
-            trunk.append((weight, flat[at:at + fan_out]))
-            at += fan_out
-        head_w = flat[at:at + 2 * self.phase_count * dims[-1]].reshape(
-            self.phase_count, 2, dims[-1])
-        return trunk, head_w, flat[at + head_w.size:].reshape(self.phase_count, 2)
+    def _pieces(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views into ``flat``: trunk weight and bias per layer, head weights, head biases."""
+        return [flat[at:at + size].reshape(shape) for at, size, shape in self._layout]
 
     def _listed(self, flat: np.ndarray) -> list[np.ndarray]:
         """Views into ``flat`` in parameters() order."""
-        trunk, head_w, head_b = self._split(flat)
-        out = [a for pair in trunk for a in pair]
-        for k in range(self.phase_count):
-            out += [head_w[k], head_b[k]]
+        *out, head_w, head_b = self._pieces(flat)
+        for pair in zip(head_w, head_b):
+            out += pair
         return out
 
     def _bind(self, theta: np.ndarray) -> None:
-        trunk, self.head_w, self.head_b = self._split(theta)
+        """Lay out the pieces once: (offset, size, shape) of each in theta order."""
+        dims = [self.input_dim, *self.hidden_dims]
+        shapes = [s for fan_in, fan_out in zip(dims, dims[1:])
+                  for s in ((fan_out, fan_in), (fan_out,))]
+        shapes += [(self.phase_count, 2, dims[-1]), (self.phase_count, 2)]
+        self._layout, at = [], 0
+        for shape in shapes:
+            size = int(np.prod(shape))
+            self._layout.append((at, size, shape))
+            at += size
+        *trunk, self.head_w, self.head_b = self._pieces(theta)
         self.theta = theta
-        self.trunk = DenseNet([Layer(w, b, "relu") for w, b in trunk])
+        self.trunk = DenseNet([Layer(w, b, "relu") for w, b in zip(trunk[::2], trunk[1::2])])
 
     # views do not survive pickling or deep copies; rebuild them on theta
     def __getstate__(self) -> dict:
@@ -405,12 +404,13 @@ class ReplayMemory:
         if size < 1:
             raise ConfigError("replay: cannot sample from an empty memory")
         idx = self.rng.integers(0, size, size=batch_size)
+        # take gathers matrix rows faster than fancy indexing; columns index faster
         return TransitionBatch(
-            states=self.states[idx],
+            states=self.states.take(idx, axis=0),
             phases=self.phases[idx],
             actions=self.actions[idx],
             rewards=self.rewards[idx],
-            next_states=self.next_states[idx],
+            next_states=self.next_states.take(idx, axis=0),
             next_phases=self.next_phases[idx],
         )
 

@@ -106,26 +106,27 @@ def realize(spec: DemandSpec, route_for_lane=None) -> list[Vehicle]:
     """Materialize a spec into id-stamped vehicles sorted by entry time.
 
     ``route_for_lane(lane)`` maps an entry lane to the full route; default is
-    the single-hop route [lane].
+    the single-hop route [lane].  It is called once per lane that has
+    vehicles, and every vehicle entering on that lane shares the one tuple.
     """
     seq = np.random.SeedSequence(spec.seed)
     lanes = sorted(spec.lane_windows, key=lambda l: (l.intersection, l.approach, l.movement))
     streams = seq.spawn(len(lanes))
-    entries: list[tuple[float, LaneId]] = []
+    entries: list[tuple[float, LaneId, tuple[LaneId, ...]]] = []
     for lane, stream in zip(lanes, streams):
         rng = np.random.default_rng(stream)
+        times = []
         for window in sorted(spec.lane_windows[lane], key=lambda w: w.start_s):
             if spec.process is ArrivalProcess.DETERMINISTIC:
-                times = _window_arrivals_deterministic(window)
+                times += _window_arrivals_deterministic(window)
             else:
-                times = _window_arrivals_poisson(window, rng)
-            entries.extend((t, lane) for t in times)
+                times += _window_arrivals_poisson(window, rng)
+        if times:
+            route = tuple(route_for_lane(lane)) if route_for_lane is not None else (lane,)
+            entries.extend((t, lane, route) for t in times)
     entries.sort(key=lambda e: (e[0], e[1].intersection, e[1].approach, e[1].movement))
-    vehicles = []
-    for vid, (t, lane) in enumerate(entries):
-        route = route_for_lane(lane) if route_for_lane is not None else (lane,)
-        vehicles.append(Vehicle(id=vid, entry_time_s=t, route=tuple(route)))
-    return vehicles
+    return [Vehicle(id=vid, entry_time_s=t, route=route)
+            for vid, (t, _, route) in enumerate(entries)]
 
 
 def uniform_spec(rate_vph: "float | dict[LaneId, float]", lanes: Sequence[LaneId],

@@ -429,10 +429,18 @@ class EpisodeResult:
 def validate_demand(network: NetworkConfig, demand: Sequence[Vehicle]) -> None:
     """Fail fast before simulation on a route that references a missing lane,
     does not follow a network link from one hop to the next, or enters an
-    intersection twice (each intersection logs a vehicle once)."""
+    intersection twice (each intersection logs a vehicle once).
+
+    Each distinct route object is checked once, at the first vehicle that
+    carries it; ``demand`` keeps every route alive, so its ``id`` is a safe key.
+    """
     links = network.links
+    checked: set[int] = set()
     for veh in demand:
         route = veh.route
+        if id(route) in checked:
+            continue
+        checked.add(id(route))
         for lane in route:
             if not network.has_lane(lane):
                 raise ConfigError(

@@ -1,8 +1,12 @@
 """tools/bench_pairs.py: the pair tally and the spreads it reports."""
 
+import json
+import os
 import pathlib
+import platform
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
@@ -45,3 +49,20 @@ def test_fewer_than_ten_pairs_are_refused():
         bench_pairs.main(["--parent", ".", "--change", ".", "--pairs", "9",
                           "--seed", "1", "--out", "unused.json"])
     assert exc.value.code == 2
+
+
+def test_report_records_the_conditions_of_the_runs(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs, "load_benchmark", lambda checkout: {
+        "command": ["python3", "perfbench/run.py"], "run_seconds": 1,
+        "workloads": [{"name": "w"}], "end_to_end": METRICS})
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: run(100, 0.1))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", ".", "--change", ".", "--pairs", "10",
+                             "--seed", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["conditions"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "cpu_count": os.cpu_count(), "PYTHONDONTWRITEBYTECODE": "1"}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.conditions()["PYTHONDONTWRITEBYTECODE"] is None

@@ -1,10 +1,15 @@
 """Property tests: network metrics pooled over random grids."""
 
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenlight import demand as demand_mod
 from greenlight import harness
 from greenlight.config import build_demand_fn, build_network, parse_config
+from greenlight.core import Vehicle
 from greenlight.metrics import check_identity, compute_metrics
 from greenlight.sim import IntersectionSim, run_episode
 
@@ -80,3 +85,59 @@ def test_pooled_metrics_sum_the_intersections_and_conserve_vehicles(episode):
         for m in per + [pooled]:
             if m.vehicles:
                 assert check_identity(m) == 0
+
+
+@st.composite
+def grid_demands(draw):
+    """A 1x2 to 3x3 grid with uniform or peaked, deterministic or Poisson demand."""
+    rows, cols = draw(st.tuples(st.integers(1, 3), st.integers(1, 3))
+                      .filter(lambda shape: shape[0] * shape[1] > 1))
+    process = draw(st.sampled_from(["deterministic", "poisson"]))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        demand = {"kind": "uniform", "rate_vph": draw(st.sampled_from([150.0, 400.0])),
+                  "process": process, "seed": seed}
+    else:
+        start = draw(st.integers(0, 200))
+        demand = {"kind": "peaked", "base_vph": 100.0, "peak_vph": 600.0,
+                  "peak_windows": [[start, start + draw(st.integers(30, 100))]],
+                  "process": process, "seed": seed}
+    cfg = parse_config({"network": {"kind": "grid", "rows": rows, "cols": cols,
+                                    "phases": draw(st.sampled_from([2, 4]))},
+                        "demand": demand})
+    return cfg, draw(st.integers(0, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_demands())
+def test_grid_demand_routes_each_entry_lane_once_and_shares_the_route(drawn):
+    cfg, episode = drawn
+    network = build_network(cfg)
+    realize = demand_mod.realize
+    seen = []
+
+    def counting_realize(spec, route_for_lane=None):
+        calls = Counter()
+
+        def counting_route(lane):
+            calls[lane] += 1
+            return route_for_lane(lane)
+
+        seen.append((spec, calls))
+        return realize(spec, counting_route)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(demand_mod, "realize", counting_realize)
+        demand = build_demand_fn(cfg.demand, network, 7, 300.0)(episode)
+    (spec, calls), = seen
+
+    # the reference routes every vehicle with its own straight_route call
+    reference = [Vehicle(v.id, v.entry_time_s, demand_mod.straight_route(network, v.route[0]))
+                 for v in realize(spec)]
+    assert [(v.id, v.entry_time_s, v.route) for v in demand] == \
+        [(v.id, v.entry_time_s, v.route) for v in reference]
+
+    shared = {}
+    for veh in demand:
+        assert veh.route is shared.setdefault(veh.route[0], veh.route)
+    assert calls == Counter(set(shared))

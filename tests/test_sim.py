@@ -17,6 +17,7 @@ from greenlight.core import (
     single_intersection_network,
 )
 from greenlight.classic import FixedTimeController
+from greenlight.demand import straight_route
 from greenlight.sim import (
     CHANGE,
     KEEP,
@@ -322,6 +323,8 @@ def test_validate_demand_rejects_missing_lane():
         run_episode(net, [AlwaysKeepController()], bad, horizon_s=10)
 
 
+@pytest.mark.parametrize("layout", ["alone", "after 500 sharing a valid route",
+                                    "shared by 50"])
 @pytest.mark.parametrize("grid, phases, route, match", [
     # 0 -> 2 on a 1x3 grid skips intersection 1: the east exit of 0 feeds 1
     ((1, 3), 2, (lane("WT", 0), lane("WT", 2)), "cannot reach 2:WT from 0:WT"),
@@ -330,10 +333,22 @@ def test_validate_demand_rejects_missing_lane():
     ((2, 2), 4, (lane("WT", 2), lane("WL", 3), lane("SL", 1), lane("EL", 0), lane("NL", 2)),
      "enters an intersection twice"),
 ])
-def test_validate_demand_rejects_unlinked_hops_and_revisits(grid, phases, route, match):
+def test_validate_demand_rejects_unlinked_hops_and_revisits(grid, phases, route, match, layout):
+    """Routes are checked once per route object, so a bad route must be found
+    behind many vehicles sharing a good one, and a bad route shared by many
+    vehicles must be blamed on the first of them."""
     net = build_grid_network(*grid, build_standard_intersection(phases))
-    demand = [Vehicle(0, 0.0, route)]
-    with pytest.raises(ConfigError, match=match):
+    valid = straight_route(net, lane("WT", 0))
+    if layout == "alone":
+        demand, first_bad = [Vehicle(0, 0.0, route)], 0
+    elif layout == "shared by 50":
+        demand = ([Vehicle(i, 0.0, valid) for i in range(10)]
+                  + [Vehicle(i, 1.0, route) for i in range(10, 60)])
+        first_bad = 10
+    else:
+        demand = [Vehicle(i, 0.0, valid) for i in range(500)] + [Vehicle(500, 1.0, route)]
+        first_bad = 500
+    with pytest.raises(ConfigError, match=f"vehicle {first_bad} .*{match}"):
         validate_demand(net, demand)
     decisions = []
 
@@ -342,7 +357,7 @@ def test_validate_demand_rejects_unlinked_hops_and_revisits(grid, phases, route,
             decisions.append(ctx.clock_s)
             return KEEP
 
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ConfigError, match=f"vehicle {first_bad} .*{match}"):
         run_episode(net, [Recording() for _ in range(net.intersection_count)], demand,
                     horizon_s=400)
     assert decisions == []

@@ -1,7 +1,7 @@
 """Run alternating parent/change pairs of the benchmark and summarise them.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --pairs 10 \
-        --seed 101 --out BENCH_6.json
+        --seed 101 --out BENCH_7.json
 
 ``--parent`` and ``--change`` are two checkouts of the repository, for
 example made with ``git worktree add`` or ``git archive REV | tar -x -C DIR``.
@@ -12,17 +12,23 @@ both sides alike.  The workloads, the end-to-end metrics with their better
 direction, and the run length come from the change's ``BENCHMARK.json``.
 A gain needs at least ten pairs to be told from noise, so fewer are refused.
 
-The output JSON holds every run's final JSON line (or its exit code and last
-output lines when it printed none) and, per workload and end-to-end metric,
-each side's median, quartiles and quartile distance, the change/parent
-ratio of the medians, and how many pairs the change won, lost and tied.
+The output JSON records the conditions that change what is measured: the
+Python and numpy versions, ``os.cpu_count()`` and ``PYTHONDONTWRITEBYTECODE``
+(when it is set, no bytecode cache is written, so every ``setup_s``
+repetition compiles greenlight's sources again).  It holds every run's
+final JSON line (or its exit code and last output lines when it printed
+none) and, per workload and end-to-end metric, each side's median,
+quartiles and quartile distance, the change/parent ratio of the medians,
+and how many pairs the change won, lost and tied.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -50,6 +56,14 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         run["result"] = None
         run["output_tail"] = (lines + proc.stderr.strip().splitlines())[-10:]
     return run
+
+
+def conditions() -> dict:
+    """What besides the code changes the runs: interpreter, numpy, cores, bytecode cache."""
+    return {"python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+            "cpu_count": os.cpu_count(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def spread(values: list[float]) -> dict:
@@ -131,6 +145,7 @@ def main(argv: list[str]) -> int:
         "seconds": seconds,
         "pairs": args.pairs,
         "order": "parent first in even pairs, change first in odd pairs",
+        "conditions": conditions(),
         "workloads": {w: {"summary": summarise(pairs[w], bench["end_to_end"]),
                           "runs": pairs[w]} for w in chosen},
     }
