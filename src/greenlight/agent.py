@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, asdict
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -258,6 +259,8 @@ class QNetwork:
         *trunk, self.head_w, self.head_b = self._pieces(theta)
         self.theta = theta
         self.trunk = DenseNet([Layer(w, b, "relu") for w, b in zip(trunk[::2], trunk[1::2])])
+        self._trunk_wb = list(zip(trunk[::2], trunk[1::2]))
+        self._out_pieces: tuple = (None, [])  # last `out` of loss_and_grads, its pieces
 
     # views do not survive pickling or deep copies; rebuild them on theta
     def __getstate__(self) -> dict:
@@ -285,15 +288,22 @@ class QNetwork:
     def sync_from(self, other: "QNetwork") -> None:
         self.theta[...] = other.theta
 
+    def _embed(self, x: np.ndarray) -> np.ndarray:
+        """Trunk output for a (B, D) batch: relu(x @ W.T + b) per layer."""
+        for w, b in self._trunk_wb:
+            x = np.maximum(x @ w.T + b, 0.0)
+        return x
+
     def q_values(self, encoded_state: np.ndarray, phase_index: int) -> np.ndarray:
         """[Q(s, keep), Q(s, change)] through the phase's head."""
         if not 0 <= phase_index < self.phase_count:
             raise ConfigError(f"qnetwork: phase index {phase_index} out of range")
-        emb = self.trunk.predict(encoded_state)
+        # the trunk sees a (1, D) matrix: a matrix-vector product may round differently
+        emb = self._embed(encoded_state[None, :])[0]
         return emb @ self.head_w[phase_index].T + self.head_b[phase_index]
 
     def q_batch(self, states: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        emb = self.trunk.predict(states)
+        emb = self._embed(states)
         q = emb @ self.head_w.reshape(-1, emb.shape[1]).T
         rows = np.arange(len(emb))
         return q.reshape(len(emb), self.phase_count, 2)[rows, phases] + self.head_b[phases]
@@ -304,15 +314,24 @@ class QNetwork:
         phases: np.ndarray,
         actions: np.ndarray,
         targets: np.ndarray,
-    ) -> tuple[float, list[np.ndarray]]:
+        *,
+        out: np.ndarray | None = None,
+    ) -> tuple[float, list[np.ndarray] | np.ndarray]:
         """Mean squared error on the taken action's Q-value, plus gradients.
 
         One trunk pass serves the whole batch; each row reads the head slot
-        (phase, action) it took.  Gradients are views, aligned with
-        parameters(), into one freshly allocated flat vector laid out like
-        ``theta``; heads absent from the batch get exactly zero gradient.
+        (phase, action) it took.  Each gradient piece is written straight
+        into a flat vector laid out like ``theta``; heads absent from the
+        batch get exactly zero gradient.  With ``out`` (a flat vector the
+        size of ``theta``) the gradient overwrites it and ``out`` is
+        returned; without it a fresh vector is made, and its views, aligned
+        with parameters(), are returned, so a caller may keep them across
+        calls.
         """
-        emb, cache = self.trunk.forward(states)
+        acts = [states]                  # input of each trunk layer, then the embedding
+        for w, b in self._trunk_wb:
+            acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+        emb = acts[-1]
         batch = len(emb)
         rows = np.arange(batch)
         slots = 2 * np.asarray(phases) + np.asarray(actions).astype(int)
@@ -320,11 +339,25 @@ class QNetwork:
         diff = (emb @ head_w.T)[rows, slots] + self.head_b.reshape(-1)[slots] - targets
         dq = np.zeros((batch, len(head_w)))
         dq[rows, slots] = 2.0 * diff / batch
-        trunk_grads, _ = self.trunk.backward(cache, dq @ head_w)
-        grad = np.concatenate(
-            [g.ravel() for g in trunk_grads] + [(dq.T @ emb).ravel(), dq.sum(axis=0)]
-        )
-        return float(diff @ diff) / batch, self._listed(grad)
+        if out is None:
+            grad = np.empty(self.theta.size)
+            pieces = self._pieces(grad)
+        else:
+            if self._out_pieces[0] is not out:  # learn steps pass the same vector
+                self._out_pieces = (out, self._pieces(out))
+            grad, pieces = self._out_pieces
+        *trunk_grads, head_w_grad, head_b_grad = pieces
+        np.matmul(dq.T, emb, out=head_w_grad.reshape(head_w.shape))
+        dq.sum(axis=0, out=head_b_grad.reshape(-1))
+        g = dq @ head_w
+        for i in range(len(self._trunk_wb) - 1, -1, -1):
+            g *= acts[i + 1] > 0         # relu'(z) = [z > 0] = [relu(z) > 0]
+            np.matmul(g.T, acts[i], out=trunk_grads[2 * i])
+            g.sum(axis=0, out=trunk_grads[2 * i + 1])
+            if i:                        # the input's own gradient is never read
+                g = g @ self._trunk_wb[i][0]
+        loss = float(diff @ diff) / batch
+        return loss, (self._listed(grad) if out is None else out)
 
 
 def bellman_targets(target_net: QNetwork, rewards: np.ndarray,
@@ -338,10 +371,16 @@ def bellman_targets(target_net: QNetwork, rewards: np.ndarray,
     return rewards + gamma * future
 
 
-def select_action(q_pair: np.ndarray, epsilon: float,
+def select_action(q_pair: Callable[[], np.ndarray], epsilon: float,
                   rng: np.random.Generator | None,
                   transition_in_progress: bool, min_green_met: bool) -> int:
-    """Masked epsilon-greedy pick; ties resolve to keep."""
+    """Masked epsilon-greedy pick; ties resolve to keep.
+
+    The masks come first, then the exploration draw, then the greedy
+    comparison.  ``q_pair`` returns [Q(s, keep), Q(s, change)]; it is called
+    only when the greedy comparison is reached, so a masked or exploring
+    step runs no forward pass.
+    """
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError("select_action: epsilon must lie in [0, 1]")
     if transition_in_progress or not min_green_met:
@@ -351,7 +390,8 @@ def select_action(q_pair: np.ndarray, epsilon: float,
             raise ConfigError("select_action: exploration needs an rng")
         if rng.random() < epsilon:
             return int(rng.integers(0, 2))
-    return CHANGE if q_pair[1] > q_pair[0] else KEEP
+    q = q_pair()
+    return CHANGE if q[1] > q[0] else KEEP
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +480,7 @@ class DQNAgent:
         )
         self.target = self.qnet.copy()
         self.adam = AdamState.for_parameters(self.qnet.theta, self.config.learning_rate)
+        self._grad = np.empty_like(self.qnet.theta)  # every learn step's gradient
         self.memory = ReplayMemory(
             self.config.replay_capacity, self.state_dim,
             np.random.default_rng(seqs[2]),
@@ -499,9 +540,9 @@ class DQNAgent:
             epsilon = self.epsilon
         else:
             epsilon = 0.0
-        q = self.qnet.q_values(encoded_state, phase_index)
         return select_action(
-            q, epsilon, self.action_rng, transition_in_progress, min_green_met,
+            partial(self.qnet.q_values, encoded_state, phase_index), epsilon,
+            self.action_rng, transition_in_progress, min_green_met,
         )
 
     def remember(self, state: np.ndarray, phase: int, action: int, reward: float,
@@ -518,12 +559,12 @@ class DQNAgent:
             self.target, batch.rewards, batch.next_states, batch.next_phases,
             cfg.gamma,
         )
-        loss, grads = self.qnet.loss_and_grads(
-            batch.states, batch.phases, batch.actions, targets,
+        loss, grad = self.qnet.loss_and_grads(
+            batch.states, batch.phases, batch.actions, targets, out=self._grad,
         )
         if not np.isfinite(loss):
             raise TrainingError(f"divergence: loss {loss} at learn step {self.learn_steps}")
-        adam_step(self.adam, self.qnet.theta, grads[0].base)  # the views' flat gradient
+        adam_step(self.adam, self.qnet.theta, grad)
         self.learn_steps += 1
         if self.learn_steps % cfg.target_sync_interval == 0:
             self.target.sync_from(self.qnet)
@@ -622,10 +663,12 @@ class AgentController(BaseController):
         return action
 
     def after_step(self, outcome: StepOutcome) -> None:
-        self._reward_acc += compute_reward(
-            outcome.measures, self.agent.config.reward_mode,
-            self.agent.config.reward_weights,
-        )
+        cfg = self.agent.config
+        if cfg.reward_mode is RewardMode.QUEUE:
+            self._reward_acc += outcome.reward  # the simulator's -sum(queued)
+        else:
+            self._reward_acc += compute_reward(outcome.measures, cfg.reward_mode,
+                                               cfg.reward_weights)
 
 
 def training_controller(agent: DQNAgent) -> AgentController:

@@ -252,6 +252,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"{section_name}.process: {section.process!r} "
                 "(expected deterministic or poisson)"
             )
+    mapped = [(key, section) for key, section in demands
+              if section.kind == "uniform" and isinstance(section.rate_vph, dict)]
+    if mapped:
+        entry_lanes = _entry_lanes(_network_of(net))
+        for key, section in mapped:
+            _mapped_rates(section.rate_vph, entry_lanes, key)
     if ctrl.kind not in CONTROLLER_KINDS:
         raise ConfigError(f"controller.kind: {ctrl.kind!r} not in {CONTROLLER_KINDS}")
     if run.horizon_s < 1:
@@ -283,7 +289,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def build_network(cfg: ExperimentConfig) -> NetworkConfig:
-    net = cfg.network
+    return _network_of(cfg.network)
+
+
+def _network_of(net: NetworkSection) -> NetworkConfig:
     base = build_standard_intersection(
         net.phases,
         road_length_m=net.road_length_m,
@@ -311,6 +320,22 @@ def _entry_lanes(network: NetworkConfig) -> list[LaneId]:
     return out
 
 
+def _mapped_rates(rates: dict, entry_lanes: Sequence[LaneId], key: str
+                  ) -> dict[LaneId, float]:
+    """Every entry lane's rate under a per-lane `rate_vph` mapping; lanes it
+    does not name get 0.  A label that is not an entry lane is an error."""
+    out = {lane: 0.0 for lane in entry_lanes}
+    for label, rate in rates.items():
+        try:
+            lane = parse_lane_label(str(label))
+        except ConfigError as exc:
+            raise ConfigError(f"{key}.rate_vph: {exc}") from None
+        if lane not in out:
+            raise ConfigError(f"{key}.rate_vph: {label} is not an entry lane")
+        out[lane] = float(rate)
+    return out
+
+
 def _mix_seed(*parts: int) -> int:
     out = 0
     for p in parts:
@@ -323,12 +348,15 @@ def build_demand_fn(
     network: NetworkConfig,
     run_seed: int,
     horizon_s: float,
+    *,
+    key: str = "demand",
 ) -> Callable[[int], list[Vehicle]]:
     """Episode-indexed demand source, deterministic per (section, run_seed).
 
     Multi-intersection networks route every vehicle straight through the
     grid from its entry lane.  A per-lane rate mapping covers only the lanes
-    it names; the remaining entry lanes receive no traffic.
+    it names; the remaining entry lanes receive no traffic.  ``key`` is the
+    section's name in the config, for error messages.
     """
     multi = network.intersection_count > 1
     route_fn = (lambda lane: demand_mod.straight_route(network, lane)) if multi else None
@@ -340,13 +368,7 @@ def build_demand_fn(
 
     def lane_rates() -> dict[LaneId, float]:
         if isinstance(section.rate_vph, dict):
-            rates = {lane: 0.0 for lane in entry_lanes}
-            for label, rate in section.rate_vph.items():
-                lane = parse_lane_label(str(label))
-                if lane not in entry_lanes:
-                    raise ConfigError(f"demand.rate_vph: {label} is not an entry lane")
-                rates[lane] = float(rate)
-            return rates
+            return _mapped_rates(section.rate_vph, entry_lanes, key)
         return {lane: float(section.rate_vph) for lane in entry_lanes}
 
     def make(episode: int) -> list[Vehicle]:

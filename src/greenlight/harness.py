@@ -169,7 +169,7 @@ def run_seed(
     horizon = cfg.run.horizon_s
     demand_fn = build_demand_fn(cfg.demand, network, seed, horizon)
     deploy_fn = (
-        build_demand_fn(cfg.deploy_demand, network, seed, horizon)
+        build_demand_fn(cfg.deploy_demand, network, seed, horizon, key="deploy_demand")
         if cfg.deploy_demand is not None else demand_fn
     )
 

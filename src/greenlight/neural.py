@@ -162,6 +162,8 @@ class AdamState:
     step_count: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # two rows of working space for adam_step, made on its first call
+    scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_parameters(cls, parameters: np.ndarray,
@@ -172,7 +174,13 @@ class AdamState:
 
 def adam_step(state: AdamState, parameters: np.ndarray,
               gradients: np.ndarray) -> None:
-    """One bias-corrected adaptive-moment update of a flat vector, in place."""
+    """One bias-corrected adaptive-moment update of a flat vector, in place.
+
+    Computes m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    theta -= (lr*m_hat) / (sqrt(v_hat) + eps) with the same float
+    operations in the same order as the out-of-place expressions, but into
+    m, v and two preallocated scratch rows instead of fresh temporaries.
+    """
     if parameters.shape != state.m.shape or gradients.shape != parameters.shape:
         raise ShapeError(
             f"gradient {gradients.shape} and optimizer state {state.m.shape} "
@@ -184,12 +192,24 @@ def adam_step(state: AdamState, parameters: np.ndarray,
             f"non-finite gradient (|g|_max={np.max(np.abs(gradients))}) at step {t}"
         )
     state.step_count = t
+    if state.scratch is None or state.scratch.shape[1:] != parameters.shape:
+        state.scratch = np.empty((2, *parameters.shape))
+    step, denom = state.scratch
     m, v = state.m, state.v
-    m[...] = state.beta1 * m + (1.0 - state.beta1) * gradients
-    v[...] = state.beta2 * v + (1.0 - state.beta2) * gradients * gradients
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    parameters -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m *= state.beta1
+    np.multiply(gradients, 1.0 - state.beta1, out=step)
+    m += step
+    v *= state.beta2
+    np.multiply(gradients, 1.0 - state.beta2, out=step)
+    step *= gradients
+    v += step
+    np.divide(m, 1.0 - state.beta1 ** t, out=step)
+    step *= state.learning_rate
+    np.divide(v, 1.0 - state.beta2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.epsilon
+    step /= denom
+    parameters -= step
 
 
 # ---------------------------------------------------------------------------

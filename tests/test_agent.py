@@ -260,27 +260,43 @@ def test_bellman_targets_gamma_zero_is_exactly_rewards():
 
 def test_select_action_masks_override_q():
     q = np.array([0.0, 100.0])
-    assert select_action(q, 0.0, None, True, True) == KEEP
-    assert select_action(q, 0.0, None, False, False) == KEEP
-    assert select_action(q, 0.0, None, False, True) == CHANGE
+    assert select_action(lambda: q, 0.0, None, True, True) == KEEP
+    assert select_action(lambda: q, 0.0, None, False, False) == KEEP
+    assert select_action(lambda: q, 0.0, None, False, True) == CHANGE
+
+
+def test_select_action_reads_q_only_for_the_greedy_comparison():
+    reads = []
+
+    def q_pair():
+        reads.append(1)
+        return np.array([0.0, 1.0])
+
+    rng = np.random.default_rng(0)
+    assert select_action(q_pair, 0.5, rng, True, True) == KEEP
+    assert select_action(q_pair, 0.5, rng, False, False) == KEEP
+    assert select_action(q_pair, 1.0, rng, False, True) in (KEEP, CHANGE)
+    assert reads == []
+    assert select_action(q_pair, 0.0, None, False, True) == CHANGE
+    assert reads == [1]
 
 
 def test_select_action_greedy_and_tie():
-    assert select_action(np.array([2.0, 1.0]), 0.0, None, False, True) == KEEP
-    assert select_action(np.array([1.0, 1.0]), 0.0, None, False, True) == KEEP
-    assert select_action(np.array([1.0, 1.1]), 0.0, None, False, True) == CHANGE
+    assert select_action(lambda: np.array([2.0, 1.0]), 0.0, None, False, True) == KEEP
+    assert select_action(lambda: np.array([1.0, 1.0]), 0.0, None, False, True) == KEEP
+    assert select_action(lambda: np.array([1.0, 1.1]), 0.0, None, False, True) == CHANGE
 
 
 def test_select_action_exploration_needs_rng():
     with pytest.raises(ConfigError):
-        select_action(np.zeros(2), 0.5, None, False, True)
+        select_action(lambda: np.zeros(2), 0.5, None, False, True)
     with pytest.raises(ConfigError):
-        select_action(np.zeros(2), 1.5, np.random.default_rng(0), False, True)
+        select_action(lambda: np.zeros(2), 1.5, np.random.default_rng(0), False, True)
 
 
 def test_select_action_exploration_is_roughly_uniform():
     rng = np.random.default_rng(42)
-    picks = [select_action(np.array([5.0, 0.0]), 1.0, rng, False, True)
+    picks = [select_action(lambda: np.array([5.0, 0.0]), 1.0, rng, False, True)
              for _ in range(2000)]
     changes = sum(picks)
     # Binomial(2000, 0.5): 5 sigma ~ 112

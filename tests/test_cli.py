@@ -234,6 +234,22 @@ def test_validate_config_quoted_number_exits_1(tmp_path, capsys, text, key):
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize("section", ["demand", "deploy_demand"])
+def test_validate_config_rate_mapping_off_the_entry_lanes_exits_1(tmp_path, capsys, section):
+    path = write_yaml(tmp_path, f"""\
+        network:
+          kind: grid
+          rows: 1
+          cols: 2
+        {section}:
+          rate_vph: {{"1:WT": 400, "9:QQ": 3}}
+    """)
+    assert cli.main(["validate-config", "--config", path]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert "config error" in captured.err and f"{section}.rate_vph" in captured.err
+
+
 def test_show_defaults_round_trips_through_parser(capsys):
     assert cli.main(["show-defaults"]) == cli.EXIT_OK
     doc = yaml.safe_load(capsys.readouterr().out)

@@ -262,14 +262,40 @@ def test_build_demand_fn_partial_rate_mapping_silences_other_lanes():
 
 
 def test_build_demand_fn_rejects_non_entry_lane():
-    cfg = parse_config({
-        "network": {"kind": "grid", "rows": 1, "cols": 2},
-        "demand": {"rate_vph": {"1:WT": 100.0}},
-    })
+    # parse_config already refuses this mapping; build_demand_fn, which can be
+    # handed an unvalidated section, still refuses it too, under the section's key
+    cfg = parse_config({"network": {"kind": "grid", "rows": 1, "cols": 2}})
+    cfg.demand.rate_vph = {"1:WT": 100.0}
     net = build_network(cfg)
     fn = build_demand_fn(cfg.demand, net, run_seed=0, horizon_s=60)
-    with pytest.raises(ConfigError, match="not an entry lane"):
+    with pytest.raises(ConfigError, match=r"^demand\.rate_vph: 1:WT is not an entry lane"):
         fn(0)
+    fn = build_demand_fn(cfg.demand, net, run_seed=0, horizon_s=60, key="deploy_demand")
+    with pytest.raises(ConfigError, match=r"^deploy_demand\.rate_vph: 1:WT is not an entry"):
+        fn(0)
+
+
+@pytest.mark.parametrize("section", ["demand", "deploy_demand"])
+@pytest.mark.parametrize("rates, fragment", [
+    ({"1:WT": 400, "9:QQ": 3}, "1:WT is not an entry lane"),
+    ({"0:WT": 400, "9:QQ": 3}, "unknown approach or movement"),
+    ({"0:WT": 400, "2:ET": 3}, "2:ET is not an entry lane"),
+    ({"x:WT": 400}, "bad intersection index"),
+])
+def test_validate_config_checks_rate_mapping_lanes(section, rates, fragment):
+    doc = {"network": {"kind": "grid", "rows": 1, "cols": 2}}
+    doc[section] = {"kind": "uniform", "rate_vph": rates}
+    with pytest.raises(ConfigError, match=rf"^{section}\.rate_vph: .*{fragment}"):
+        parse_config(doc)
+
+
+def test_validate_config_accepts_entry_lane_mappings():
+    cfg = parse_config({
+        "network": {"kind": "grid", "rows": 1, "cols": 2},
+        "demand": {"rate_vph": {"0:WT": 400, "1:ET": 300, "1:NT": 5}},
+        "deploy_demand": {"rate_vph": {"WT": 200}},
+    })
+    assert cfg.demand.rate_vph["1:ET"] == 300
 
 
 def test_build_demand_fn_grid_routes_straight_through():
