@@ -218,6 +218,11 @@ def _check_demand_numbers(section: DemandSection, key: str) -> None:
         if not _admits("float", rate):
             raise ConfigError(f"{key}.rate_vph: expected a number or a mapping "
                               f"of lane labels to numbers, got {rates!r}")
+        if rate < 0:
+            raise ConfigError(f"{key}.rate_vph: rates must be >= 0, got {rates!r}")
+    for name in ("base_vph", "peak_vph"):
+        if getattr(section, name) < 0:
+            raise ConfigError(f"{key}.{name}: must be >= 0")
     if not isinstance(section.peak_windows, (list, tuple)):
         raise ConfigError(f"{key}.peak_windows: expected a list of [start, end] "
                           f"pairs, got {section.peak_windows!r}")
@@ -252,12 +257,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"{section_name}.process: {section.process!r} "
                 "(expected deterministic or poisson)"
             )
-    mapped = [(key, section) for key, section in demands
-              if section.kind == "uniform" and isinstance(section.rate_vph, dict)]
-    if mapped:
+    for key, section in demands:
+        if section.kind == "peaked":
+            demand_mod.peak_spans(section.peak_windows, run.horizon_s,
+                                  key=f"{key}.peak_windows")
+    # lane labels name lanes of the built network, so build it only for them
+    labelled = [(key, section) for key, section in demands
+                if (section.kind == "uniform" and isinstance(section.rate_vph, dict))
+                or (section.kind == "peaked" and section.peak_lanes is not None)]
+    if labelled:
         entry_lanes = _entry_lanes(_network_of(net))
-        for key, section in mapped:
-            _mapped_rates(section.rate_vph, entry_lanes, key)
+        for key, section in labelled:
+            if section.kind == "peaked":
+                _peak_lanes(section.peak_lanes, entry_lanes, key)
+            else:
+                _mapped_rates(section.rate_vph, entry_lanes, key)
     if ctrl.kind not in CONTROLLER_KINDS:
         raise ConfigError(f"controller.kind: {ctrl.kind!r} not in {CONTROLLER_KINDS}")
     if run.horizon_s < 1:
@@ -336,6 +350,27 @@ def _mapped_rates(rates: dict, entry_lanes: Sequence[LaneId], key: str
     return out
 
 
+def _peak_lanes(labels: Any, entry_lanes: Sequence[LaneId], key: str
+                ) -> list[LaneId] | None:
+    """The lanes a peaked section's windows apply to, or None (an absent or
+    empty list) for every entry lane.  A label that is not an entry lane is
+    an error."""
+    if labels is None:
+        return None
+    if not isinstance(labels, (list, tuple)):
+        raise ConfigError(f"{key}.peak_lanes: expected a list of lane labels, got {labels!r}")
+    lanes = []
+    for label in labels:
+        try:
+            lane = parse_lane_label(str(label))
+        except ConfigError as exc:
+            raise ConfigError(f"{key}.peak_lanes: {exc}") from None
+        if lane not in entry_lanes:
+            raise ConfigError(f"{key}.peak_lanes: {label} is not an entry lane")
+        lanes.append(lane)
+    return lanes or None
+
+
 def _mix_seed(*parts: int) -> int:
     out = 0
     for p in parts:
@@ -371,6 +406,9 @@ def build_demand_fn(
             return _mapped_rates(section.rate_vph, entry_lanes, key)
         return {lane: float(section.rate_vph) for lane in entry_lanes}
 
+    peak_lanes = (_peak_lanes(section.peak_lanes, entry_lanes, key)
+                  if section.kind == "peaked" else None)
+
     def make(episode: int) -> list[Vehicle]:
         vary = section.fresh_each_episode and section.process == "poisson"
         seed = _mix_seed(section.seed, run_seed, episode if vary else 0)
@@ -383,9 +421,7 @@ def build_demand_fn(
             spec = demand_mod.peaked_spec(
                 section.base_vph, section.peak_vph,
                 [tuple(w) for w in section.peak_windows],
-                entry_lanes, float(horizon_s), process, seed,
-                peak_lanes=[parse_lane_label(str(l)) for l in section.peak_lanes]
-                if section.peak_lanes else None,
+                entry_lanes, float(horizon_s), process, seed, peak_lanes,
             )
         return demand_mod.realize(spec, route_fn)
 

@@ -148,6 +148,23 @@ def generate_uniform(rate_vph, lanes: Sequence[LaneId], horizon_s: float,
                    route_for_lane)
 
 
+def peak_spans(peak_windows: Sequence[tuple[float, float]], horizon_s: float,
+               key: str = "demand_peak") -> list[tuple[float, float]]:
+    """The peak windows in start order; a ConfigError prefixed with `key` if
+    one is empty or leaves [0, horizon_s], or two overlap."""
+    spans = sorted(peak_windows)
+    for s, e in spans:
+        if e <= s:
+            raise ConfigError(f"{key}: peak window [{s}, {e}] must end after it starts")
+        if s < 0 or e > horizon_s:
+            raise ConfigError(f"{key}: peak window [{s}, {e}] outside the horizon "
+                              f"[0, {horizon_s}]")
+    for (_, e1), (s2, _) in zip(spans, spans[1:]):
+        if s2 < e1:
+            raise ConfigError(f"{key}: peak windows overlap")
+    return spans
+
+
 def peaked_spec(base_vph: float, peak_vph: float,
                 peak_windows: Sequence[tuple[float, float]],
                 lanes: Sequence[LaneId], horizon_s: float,
@@ -155,13 +172,7 @@ def peaked_spec(base_vph: float, peak_vph: float,
                 seed: int = 0,
                 peak_lanes: Sequence[LaneId] | None = None) -> DemandSpec:
     """Base-rate demand with elevated-rate windows (on all or selected lanes)."""
-    spans = sorted(peak_windows)
-    for (s1, e1), (s2, _) in zip(spans, spans[1:]):
-        if s2 < e1:
-            raise ConfigError("demand_peak: peak windows overlap")
-    for s, e in spans:
-        if s < 0 or e > horizon_s:
-            raise ConfigError("demand_peak: peak window outside the horizon")
+    spans = peak_spans(peak_windows, horizon_s)
     peak_set = set(peak_lanes) if peak_lanes is not None else set(lanes)
     lane_windows = {}
     for lane in lanes:

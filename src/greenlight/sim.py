@@ -26,7 +26,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -209,6 +208,35 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class _CellTables:
+    """Occupancy cells of one intersection's lanes at one `cells_per_lane`.
+
+    ``age_cell[a]`` is the cell of a free-flow vehicle ``a`` steps after
+    entry; ``queued_rows[q]`` counts queue ranks ``0 .. q-1`` per cell, rank
+    ``r`` standing ``r * VEHICLE_SPACING_M`` behind the stop line.  A cell is
+    ``position // (L / cells)``, clipped to the lane.
+    """
+
+    def __init__(self, config: IntersectionConfig, ff_steps: int, cells: int) -> None:
+        self.length = config.road_length_m
+        self.width = config.road_length_m / cells
+        self.cells = cells
+        speed = config.free_flow_speed_mps
+        self.age_cell = [self.cell(min(speed * age, self.length)) for age in range(ff_steps + 1)]
+        self.queued_rows: list[tuple[int, ...]] = [(0,) * cells]
+
+    def cell(self, position: float) -> int:
+        return min(max(int(position // self.width), 0), self.cells - 1)
+
+    def grow(self, queued: int) -> None:
+        """Extend `queued_rows` through a queue of `queued` vehicles."""
+        rows = self.queued_rows
+        row = list(rows[-1])
+        for rank in range(len(rows) - 1, queued):
+            row[self.cell(self.length - rank * VEHICLE_SPACING_M)] += 1
+            rows.append(tuple(row))
+
+
 class IntersectionSim:
     """Owns the dynamic state of one intersection and advances it by 1 s steps.
 
@@ -232,6 +260,7 @@ class IntersectionSim:
         self._green_masks = [_read_only(np.array([j in green for j in range(config.lane_count)]))
                              for green in self._green_lanes]
         self._red_mask = _read_only(np.zeros(config.lane_count, dtype=bool))
+        self._cell_tables: dict[int, _CellTables] = {}  # cells_per_lane -> tables
         self.log = TravelLog(config.road_length_m, config.free_flow_speed_mps)
         self._arrivals: dict[int, list[tuple[int, int]]] = defaultdict(list)
         self.state = SimState(
@@ -283,28 +312,33 @@ class IntersectionSim:
 
         Queued vehicles sit at one vehicle-length spacing behind the stop
         line; free-flow vehicles sit at speed * time-since-entry from the
-        entrance.
+        entrance.  Both positions depend on one small integer, so two tables
+        per `cells_per_lane`, built on first use, hold every cell: the cell
+        of a free-flow vehicle by its age in steps, and the per-cell counts
+        of a queue by its length, grown to the longest queue seen.  A lane
+        then costs one queue-table read plus one age-table read per vehicle
+        still in free flow.
         """
         if cells_per_lane < 1:
             raise ConfigError("occupancy_cells: cells_per_lane must be >= 1")
-        cfg = self.config
-        counts = self._measures.counts
-        # every vehicle on a lane, in stop-line order; the first q_j are queued
-        lane = np.arange(cfg.lane_count).repeat(counts)
-        rank = np.arange(len(lane)) - (counts.cumsum() - counts)[lane]
-        lanes = self.state.lanes
-        ready = np.fromiter(chain.from_iterable(l.ready_steps[l.departed:] for l in lanes),
-                            dtype=np.int64, count=len(lane))
-        since_entry = self.state.clock_s - (ready - self._ff_steps)
-        position = np.where(
-            rank < self._measures.queues[lane],
-            cfg.road_length_m - rank * VEHICLE_SPACING_M,
-            np.minimum(cfg.free_flow_speed_mps * since_entry, cfg.road_length_m),
-        )
-        cell = (position // (cfg.road_length_m / cells_per_lane)).astype(np.int64)
-        np.maximum(cell, 0, out=cell)
-        np.minimum(cell, cells_per_lane - 1, out=cell)
-        return np.bincount(lane * cells_per_lane + cell, minlength=cfg.lane_count * cells_per_lane)
+        tables = self._cell_tables.get(cells_per_lane)
+        if tables is None:
+            tables = _CellTables(self.config, self._ff_steps, cells_per_lane)
+            self._cell_tables[cells_per_lane] = tables
+        age_cell, queued_rows = tables.age_cell, tables.queued_rows
+        # a vehicle ready at step r entered at r - ff, so it is age_base - r
+        # steps old; step() leaves every free-flow vehicle 1 .. ff steps old
+        age_base = self.state.clock_s + self._ff_steps
+        out: list[int] = []
+        for lane in self.state.lanes:
+            queued = lane.ready - lane.departed
+            if queued >= len(queued_rows):
+                tables.grow(queued)
+            base = len(out)
+            out += queued_rows[queued]
+            for ready in lane.ready_steps[lane.ready:]:
+                out[base + age_cell[age_base - ready]] += 1
+        return np.array(out, dtype=np.int64)
 
     def control_context(self) -> ControlContext:
         st = self.state

@@ -250,6 +250,30 @@ def test_validate_config_rate_mapping_off_the_entry_lanes_exits_1(tmp_path, caps
     assert "config error" in captured.err and f"{section}.rate_vph" in captured.err
 
 
+@pytest.mark.parametrize("section", ["demand", "deploy_demand"])
+@pytest.mark.parametrize("text, key", [
+    ('peak_lanes: ["9:ET"]', "peak_lanes"),
+    ("peak_windows: [[0, 600], [300, 900]]", "peak_windows"),
+    ("peak_windows: [[0, 6000]]", "peak_windows"),
+])
+def test_validate_config_bad_peaked_demand_exits_1(tmp_path, capsys, section, text, key):
+    path = write_yaml(tmp_path, f"""\
+        network:
+          kind: grid
+          rows: 1
+          cols: 2
+        run:
+          horizon_s: 3600
+        {section}:
+          kind: peaked
+          {text}
+    """)
+    assert cli.main(["validate-config", "--config", path]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert "config error" in captured.err and f"{section}.{key}" in captured.err
+
+
 def test_show_defaults_round_trips_through_parser(capsys):
     assert cli.main(["show-defaults"]) == cli.EXIT_OK
     doc = yaml.safe_load(capsys.readouterr().out)

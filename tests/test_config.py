@@ -176,6 +176,9 @@ def test_load_config_empty_file_is_default_config(tmp_path):
     ({"train": {"horizon_s": "60"}}, r"train\.horizon_s: expected int \| None"),
     ({"demand": {"rate_vph": "550"}}, r"demand\.rate_vph"),
     ({"demand": {"rate_vph": {"WT": "300"}}}, r"demand\.rate_vph"),
+    ({"demand": {"rate_vph": -5}}, r"demand\.rate_vph: rates must be >= 0"),
+    ({"deploy_demand": {"rate_vph": {"WT": 300, "ET": -1}}},
+     r"deploy_demand\.rate_vph: rates must be >= 0"),
     ({"demand": {"fresh_each_episode": "no"}}, r"demand\.fresh_each_episode"),
     ({"deploy_demand": {"peak_windows": [["0", 600]]}}, r"deploy_demand\.peak_windows"),
     ({"deploy_demand": {"peak_windows": [[0, 600, 900]]}}, r"deploy_demand\.peak_windows"),
@@ -296,6 +299,48 @@ def test_validate_config_accepts_entry_lane_mappings():
         "deploy_demand": {"rate_vph": {"WT": 200}},
     })
     assert cfg.demand.rate_vph["1:ET"] == 300
+
+
+PEAKED_1X2 = {"kind": "peaked", "base_vph": 100, "peak_vph": 1000, "peak_windows": [[0, 600]]}
+
+
+@pytest.mark.parametrize("section", ["demand", "deploy_demand"])
+@pytest.mark.parametrize("override, fragment", [
+    ({"peak_lanes": ["1:WT"]}, r"peak_lanes: 1:WT is not an entry lane"),   # fed by a link
+    ({"peak_lanes": ["0:WT", "9:ET"]}, r"peak_lanes: 9:ET is not an entry lane"),
+    ({"peak_lanes": ["0:QQ"]}, r"peak_lanes: .*unknown approach or movement"),
+    ({"peak_lanes": "0:WT"}, r"peak_lanes: expected a list of lane labels"),
+    ({"peak_windows": [[0, 600], [300, 900]]}, r"peak_windows: peak windows overlap"),
+    ({"peak_windows": [[0, 6000]]}, r"peak_windows: peak window \[0, 6000\] outside"),
+    ({"peak_windows": [[-60, 300]]}, r"peak_windows: peak window \[-60, 300\] outside"),
+    ({"peak_windows": [[600, 300]]}, r"peak_windows: peak window \[600, 300\] must end after"),
+    ({"peak_windows": [[300, 300]]}, r"peak_windows: peak window \[300, 300\] must end after"),
+    ({"peak_vph": -5}, r"peak_vph: must be >= 0"),
+    ({"base_vph": -1.5}, r"base_vph: must be >= 0"),
+])
+def test_validate_config_checks_peaked_demand(section, override, fragment):
+    doc = {"network": {"kind": "grid", "rows": 1, "cols": 2}, "run": {"horizon_s": 3600}}
+    doc[section] = {**PEAKED_1X2, **override}
+    with pytest.raises(ConfigError, match=rf"^{section}\.{fragment}"):
+        parse_config(doc)
+
+
+def test_validate_config_accepts_peaked_entry_lanes_and_touching_windows():
+    cfg = parse_config({
+        "network": {"kind": "grid", "rows": 1, "cols": 2},
+        "demand": {**PEAKED_1X2, "peak_lanes": ["0:WT", "1:ET"],
+                   "peak_windows": [[0, 600], [600, 900], [3000, 3600]]},
+        "deploy_demand": {**PEAKED_1X2, "peak_lanes": None},
+    })
+    assert cfg.demand.peak_lanes == ["0:WT", "1:ET"]
+
+
+def test_build_demand_fn_peaks_only_the_named_entry_lane():
+    cfg = parse_config({"network": {"kind": "grid", "rows": 1, "cols": 2},
+                        "run": {"horizon_s": 600},
+                        "demand": {**PEAKED_1X2, "peak_lanes": ["0:WT"]}})
+    vehicles = build_demand_fn(cfg.demand, build_network(cfg), run_seed=0, horizon_s=600)(0)
+    assert len(vehicles) == 252  # 167 on 0:WT at 1000 veh/h, 17 on each other entry lane at 100
 
 
 def test_build_demand_fn_grid_routes_straight_through():
