@@ -23,13 +23,10 @@ from .sim import (
     CHANGE,
     KEEP,
     BaseController,
-    ControlContext,
     EpisodeResult,
     IntersectionSim,
-    LaneMeasures,
-    Observation,
     SimulationError,
-    StepOutcome,
+    StepView,
     TravelLog,
     run_episode,
     write_trace_csv,
@@ -68,7 +65,6 @@ from .agent import (
     StateMode,
     bellman_targets,
     compute_reward,
-    encode_state,
     greedy_controller,
     select_action,
     train,

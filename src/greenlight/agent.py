@@ -41,10 +41,7 @@ from .sim import (
     CHANGE,
     KEEP,
     BaseController,
-    ControlContext,
-    LaneMeasures,
-    Observation,
-    StepOutcome,
+    StepView,
     run_episode,
 )
 
@@ -142,41 +139,7 @@ def state_dim(mode: StateMode, lane_count: int, phase_count: int,
     raise ConfigError(f"state_mode: unknown mode {mode!r}")
 
 
-def encode_state(
-    observation: Observation,
-    mode: StateMode,
-    phase_count: int,
-    *,
-    occupancy: np.ndarray | None = None,
-    waiting: np.ndarray | None = None,
-) -> np.ndarray:
-    """Build the network input vector for one observation.
-
-    Layout is counts (or the mode's replacement features) followed by the
-    one-hot active phase, so every mode keeps the phase visible to the trunk
-    even though head routing also keys on it.
-    """
-    one_hot = np.zeros(phase_count)
-    one_hot[observation.phase_index] = 1.0
-    counts = observation.vehicle_counts.astype(float)
-    if mode is StateMode.COUNTS_PHASE:
-        return np.concatenate([counts, one_hot])
-    if mode is StateMode.COUNTS_PLUS_OCCUPANCY:
-        if occupancy is None:
-            raise ConfigError("encode_state: counts_plus_occupancy needs occupancy aux")
-        return np.concatenate([counts, np.asarray(occupancy, dtype=float), one_hot])
-    if mode is StateMode.OCCUPANCY_ONLY:
-        if occupancy is None:
-            raise ConfigError("encode_state: occupancy_only needs occupancy aux")
-        return np.concatenate([np.asarray(occupancy, dtype=float), one_hot])
-    if mode is StateMode.WAITING_PHASE:
-        if waiting is None:
-            raise ConfigError("encode_state: waiting_phase needs waiting aux")
-        return np.concatenate([np.asarray(waiting, dtype=float), one_hot])
-    raise ConfigError(f"state_mode: unknown mode {mode!r}")
-
-
-def compute_reward(measures: LaneMeasures, mode: RewardMode,
+def compute_reward(view: StepView, mode: RewardMode,
                    weights: dict[str, float] | None = None) -> float:
     """Negated cost of the post-movement lane state under the chosen mode.
 
@@ -187,18 +150,18 @@ def compute_reward(measures: LaneMeasures, mode: RewardMode,
     """
     mode = RewardMode(mode)
     if mode is RewardMode.QUEUE:
-        return -float(measures.queues.sum())
+        return -float(view.queues.sum())
     if mode is RewardMode.DELAY:
-        return -float(measures.stopped_fraction.sum())
+        return -float(view.stopped_fraction.sum())
     if mode is RewardMode.WAITING:
-        return -float(measures.waiting_steps.sum())
+        return -float(view.waiting_steps.sum())
     if mode is RewardMode.VEHICLES:
-        return -float(measures.counts.sum())
+        return -float(view.counts.sum())
     if mode is RewardMode.WEIGHTED:
         if not weights:
             raise ConfigError("compute_reward: weighted mode needs weights")
         return float(sum(
-            w * compute_reward(measures, RewardMode(name)) for name, w in weights.items()
+            w * compute_reward(view, RewardMode(name)) for name, w in weights.items()
         ))
     raise ConfigError(f"reward_mode: unknown mode {mode!r}")
 
@@ -508,24 +471,26 @@ class DQNAgent:
 
     # -- per-step interface --------------------------------------------------
 
-    def encode(self, observation: Observation, *,
-               occupancy_fn: Callable[[int], np.ndarray] | None = None,
-               waiting: np.ndarray | None = None) -> np.ndarray:
-        mode = self.config.state_mode
-        occupancy = None
-        if mode in (StateMode.COUNTS_PLUS_OCCUPANCY, StateMode.OCCUPANCY_ONLY):
-            if occupancy_fn is None:
-                raise ConfigError("encode: state mode needs an occupancy source")
-            occupancy = occupancy_fn(self.config.occupancy_cells)
-        return encode_state(
-            observation, mode, self.intersection.phase_count,
-            occupancy=occupancy, waiting=waiting,
-        )
+    def encode(self, view: StepView) -> np.ndarray:
+        """Build the network input vector for one step view.
 
-    def encode_context(self, ctx: ControlContext) -> np.ndarray:
-        return self.encode(
-            ctx.observation, occupancy_fn=ctx.occupancy, waiting=ctx.waiting_steps,
-        )
+        Layout is counts (or the mode's replacement features) followed by the
+        one-hot active phase, so every mode keeps the phase visible to the trunk
+        even though head routing also keys on it.
+        """
+        mode = self.config.state_mode
+        one_hot = np.zeros(self.intersection.phase_count)
+        one_hot[view.phase_index] = 1.0
+        if mode is StateMode.COUNTS_PHASE:
+            return np.concatenate([view.counts.astype(float), one_hot])
+        if mode is StateMode.WAITING_PHASE:
+            return np.concatenate([view.waiting_steps.astype(float), one_hot])
+        occupancy = view.occupancy(self.config.occupancy_cells).astype(float)
+        if mode is StateMode.COUNTS_PLUS_OCCUPANCY:
+            return np.concatenate([view.counts.astype(float), occupancy, one_hot])
+        if mode is StateMode.OCCUPANCY_ONLY:
+            return np.concatenate([occupancy, one_hot])
+        raise ConfigError(f"state_mode: unknown mode {mode!r}")
 
     def act(self, encoded_state: np.ndarray, phase_index: int, *,
             training: bool, transition_in_progress: bool,
@@ -641,11 +606,11 @@ class AgentController(BaseController):
     def _is_decision_step(self, clock_s: int) -> bool:
         return clock_s % self.agent.config.decision_interval_s == 0
 
-    def decide(self, ctx: ControlContext) -> int:
-        if not self._is_decision_step(ctx.clock_s):
+    def decide(self, view: StepView) -> int:
+        if not self._is_decision_step(view.clock_s):
             return KEEP
-        state = self.agent.encode_context(ctx)
-        phase = ctx.observation.phase_index
+        state = self.agent.encode(view)
+        phase = view.phase_index
         if self._pending is not None and self.learn:
             prev_state, prev_phase, prev_action = self._pending
             self.agent.remember(
@@ -656,19 +621,18 @@ class AgentController(BaseController):
         action = self.agent.act(
             state, phase,
             training=self.training,
-            transition_in_progress=ctx.in_transition,
-            min_green_met=ctx.min_green_met,
+            transition_in_progress=view.in_transition,
+            min_green_met=view.min_green_met,
         )
         self._pending = (state, phase, action)
         return action
 
-    def after_step(self, outcome: StepOutcome) -> None:
+    def after_step(self, view: StepView) -> None:
         cfg = self.agent.config
         if cfg.reward_mode is RewardMode.QUEUE:
-            self._reward_acc += outcome.reward  # the simulator's -sum(queued)
+            self._reward_acc += view.reward  # the simulator's -sum(queued)
         else:
-            self._reward_acc += compute_reward(outcome.measures, cfg.reward_mode,
-                                               cfg.reward_weights)
+            self._reward_acc += compute_reward(view, cfg.reward_mode, cfg.reward_weights)
 
 
 def training_controller(agent: DQNAgent) -> AgentController:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, IntersectionConfig
-from .sim import KEEP, CHANGE, BaseController, ControlContext, StepOutcome
+from .sim import KEEP, CHANGE, BaseController, StepView
 
 
 class OversaturatedError(RuntimeError):
@@ -251,10 +251,10 @@ class FixedTimeController(BaseController):
             raise ConfigError("fixed_time: phase duration must be positive")
         self.phase_duration_s = phase_duration_s
 
-    def decide(self, ctx: ControlContext) -> int:
-        if ctx.in_transition:
+    def decide(self, view: StepView) -> int:
+        if view.in_transition:
             return KEEP
-        return fixed_time_decide(ctx.elapsed_green_s, self.phase_duration_s)
+        return fixed_time_decide(view.elapsed_green_s, self.phase_duration_s)
 
 
 class SotlController(BaseController):
@@ -266,13 +266,13 @@ class SotlController(BaseController):
         self.theta_red = theta_red
         self.theta_green = theta_green
 
-    def decide(self, ctx: ControlContext) -> int:
-        if ctx.in_transition:
+    def decide(self, view: StepView) -> int:
+        if view.in_transition:
             return KEEP
         # outside a transition the mask is the current phase's green
-        queues, green = ctx.queue_lengths, ctx.green_mask
+        queues, green = view.queues, view.green_mask
         return sotl_decide(
-            queues[green].tolist(), queues[~green].tolist(), ctx.elapsed_green_s,
+            queues[green].tolist(), queues[~green].tolist(), view.elapsed_green_s,
             self.theta_red, self.theta_green, self.config.min_green_s,
         )
 
@@ -350,14 +350,14 @@ class WebsterController(BaseController):
                 return _TimingPlan(cand, splits, source)
         return self._saturated_plan()
 
-    def decide(self, ctx: ControlContext) -> int:
-        if ctx.clock_s > 0 and ctx.clock_s % self.params.measurement_window_s == 0:
-            self._replan(ctx.clock_s)
-        if ctx.in_transition:
+    def decide(self, view: StepView) -> int:
+        if view.clock_s > 0 and view.clock_s % self.params.measurement_window_s == 0:
+            self._replan(view.clock_s)
+        if view.in_transition:
             return KEEP
-        allotted = self.plan.splits_s[ctx.observation.phase_index]
-        return fixed_time_decide(ctx.elapsed_green_s, allotted)
+        allotted = self.plan.splits_s[view.phase_index]
+        return fixed_time_decide(view.elapsed_green_s, allotted)
 
-    def after_step(self, outcome: StepOutcome) -> None:
-        self._counts.append(outcome.measures.counts)
-        self._masks.append(outcome.measures.green_mask)
+    def after_step(self, view: StepView) -> None:
+        self._counts.append(view.counts)
+        self._masks.append(view.green_mask)

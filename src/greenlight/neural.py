@@ -110,9 +110,6 @@ class DenseNet:
         out = x[0] if squeezed else x
         return out, ForwardCache(inputs, pres, squeezed)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
-
     def relu_pattern(self, cache: ForwardCache) -> tuple[bytes, ...]:
         """Sign pattern of relu pre-activations; a change marks a kink crossing."""
         return tuple(

@@ -45,42 +45,35 @@ class SimulationError(RuntimeError):
 
 
 @dataclass
-class Observation:
-    """Agent-facing state: per-lane vehicle counts plus the active phase."""
+class StepView:
+    """One step's state as controllers see it, built once at the end of each
+    step (and once by the constructor, before the first).
 
-    vehicle_counts: np.ndarray  # int, length M, ordered by lane index
-    phase_index: int
+    The same object reaches ``after_step`` for the step just run and
+    ``decide`` for the step about to run: nothing changes in between.  Its
+    arrays are read-only; ``occupancy`` reads the live state, so it is valid
+    until the next step.  Not a frozen dataclass: one is built per
+    intersection-step, and a frozen one costs several times as much to build.
+    """
 
-    def __post_init__(self) -> None:
-        if self.phase_index < 0:
-            raise SimulationError("observation phase_index must be >= 0")
-
-
-@dataclass
-class LaneMeasures:
-    """Post-movement per-lane measures, inputs for the reward variants."""
-
+    phase_index: int              # active phase; the outgoing one mid-transition
+    counts: np.ndarray            # v_j, all vehicles on the lane, ordered by lane index
     queues: np.ndarray            # q_j, vehicles stopped at the line
-    counts: np.ndarray            # v_j, all vehicles on the lane
     waiting_steps: np.ndarray     # summed waiting-so-far of queued vehicles
-    green_mask: np.ndarray        # c_j for the step just executed
+    green_mask: np.ndarray        # c_j of the step just run, and of the next if it keeps
+    reward: float                 # -sum(q_j), always <= 0; 0.0 before the first step
+    departures: list[int]         # vehicle ids that crossed the stop line in the step
+    clock_s: int                  # the next step to run = the number of steps run
+    elapsed_green_s: int
+    in_transition: bool
+    min_green_met: bool
+    occupancy: Callable[[int], np.ndarray]  # cells_per_lane -> occupancy vector
 
     @cached_property
     def stopped_fraction(self) -> np.ndarray:
         """q_j / v_j, 0 where the lane is empty; computed on first read,
         since only the ``delay`` reward, alone or weighted, reads it."""
         return _read_only(self.queues / np.maximum(self.counts, 1))
-
-
-@dataclass
-class StepOutcome:
-    """Result of one simulated second."""
-
-    observation: Observation
-    reward: float                 # -sum(q_j), always <= 0
-    departures: list[int]         # vehicle ids that crossed the stop line
-    clock_s: int                  # the step index that was just executed
-    measures: LaneMeasures
 
 
 @dataclass
@@ -169,37 +162,22 @@ class SimState:
     ignored_actions: int
 
 
-@dataclass
-class ControlContext:
-    """Everything a controller may look at before choosing keep/change."""
-
-    observation: Observation
-    queue_lengths: np.ndarray
-    waiting_steps: np.ndarray
-    green_mask: np.ndarray            # c_j if this step keeps the phase
-    elapsed_green_s: int
-    in_transition: bool
-    min_green_met: bool
-    clock_s: int
-    occupancy: Callable[[int], np.ndarray]  # cells_per_lane -> occupancy vector
-
-
 class BaseController:
     """Per-intersection signal controller; concrete ones implement decide()."""
 
-    def decide(self, ctx: ControlContext) -> int:  # pragma: no cover - abstract
+    def decide(self, view: StepView) -> int:  # pragma: no cover - abstract
         """Return 1 to advance to the next phase, 0 to keep the current one."""
         raise NotImplementedError
 
-    def after_step(self, outcome: StepOutcome) -> None:
-        """Hook called once per step with the step's outcome; a no-op here."""
+    def after_step(self, view: StepView) -> None:
+        """Hook called once per step with the view the step returned; a no-op here."""
         return None
 
 
 class AlwaysKeepController(BaseController):
     """Never changes phase; useful for traces and degenerate baselines."""
 
-    def decide(self, ctx: ControlContext) -> int:
+    def decide(self, view: StepView) -> int:
         return KEEP
 
 
@@ -272,9 +250,7 @@ class IntersectionSim:
             green_elapsed_s=0,
             ignored_actions=0,
         )
-        # The measures of the last step stay valid until the next one.
-        self._measures, _ = self._measure(self._green_masks[0])
-        self._observation = Observation(self._measures.counts, 0)
+        self._view = self._build_view(self._green_masks[0], [])
 
     # -- demand loading ------------------------------------------------------
 
@@ -289,23 +265,29 @@ class IntersectionSim:
             raise ConfigError(f"demand_lane: lane {lane} does not exist at this intersection")
         self._arrivals[self.entry_step(entry_time_s)].append((vehicle_id, lane_idx))
 
-    # -- observation ---------------------------------------------------------
+    # -- step view -----------------------------------------------------------
 
-    def _measure(self, green_mask: np.ndarray) -> tuple[LaneMeasures, int]:
-        """Per-lane measures of the current state and the summed queue.
+    def _build_view(self, green_mask: np.ndarray, departures: list[int]) -> StepView:
+        """The view of the current state.
 
-        The three rows are views of one read-only integer table, built from
-        one flat list of Python ints and shared with the next control context.
+        The three lane rows are views of one read-only integer table, built
+        from one flat list of Python ints.
         """
-        lanes = self.state.lanes
-        now = self.state.clock_s
+        st = self.state
+        lanes = st.lanes
+        now = st.clock_s
         queued = [l.ready - l.departed for l in lanes]
         flat = (queued
                 + [len(l.ready_steps) - l.departed for l in lanes]
                 # a vehicle queued since step r has waited through steps r .. now - 1
                 + [now * q - l.ready_sum for q, l in zip(queued, lanes)])
         queues, counts, waiting = _read_only(np.array(flat, dtype=np.int64)).reshape(3, -1)
-        return LaneMeasures(queues, counts, waiting, green_mask), sum(queued)
+        return StepView(
+            st.current_phase_index, counts, queues, waiting, green_mask,
+            float(-sum(queued)),  # int negation avoids -0.0
+            departures, now, st.green_elapsed_s, st.transition_countdown_s > 0,
+            st.green_elapsed_s >= self.config.min_green_s, self.occupancy_vector,
+        )
 
     def occupancy_vector(self, cells_per_lane: int) -> np.ndarray:
         """Coarse per-lane occupancy grid, cell 0 at the lane entrance.
@@ -340,25 +322,13 @@ class IntersectionSim:
                 out[base + age_cell[age_base - ready]] += 1
         return np.array(out, dtype=np.int64)
 
-    def control_context(self) -> ControlContext:
-        st = self.state
-        measures = self._measures
-        return ControlContext(
-            observation=self._observation,
-            queue_lengths=measures.queues,
-            waiting_steps=measures.waiting_steps,
-            # phase and countdown are as the last step left them, and so is its mask
-            green_mask=measures.green_mask,
-            elapsed_green_s=st.green_elapsed_s,
-            in_transition=st.transition_countdown_s > 0,
-            min_green_met=st.green_elapsed_s >= self.config.min_green_s,
-            clock_s=st.clock_s,
-            occupancy=self.occupancy_vector,
-        )
+    def control_context(self) -> StepView:
+        """The view the last step returned, or the pre-step view before the first."""
+        return self._view
 
     # -- dynamics ------------------------------------------------------------
 
-    def step(self, action: int) -> StepOutcome:
+    def step(self, action: int) -> StepView:
         """Advance the world by one second under the given keep/change action."""
         if action not in (KEEP, CHANGE):
             raise SimulationError(f"action must be 0 or 1, got {action!r}")
@@ -426,20 +396,13 @@ class IntersectionSim:
             lane.departed = head
             lane.credit = credit
 
-        # (f) clock, then (e) reward and measures, post-movement
+        # (f) clock, then (e) reward and the view, post-movement
         st.clock_s = t + 1
         if green_now:
             st.green_elapsed_s += 1
         mask = self._green_masks[st.current_phase_index] if green_now else self._red_mask
-        self._measures, queued = self._measure(mask)
-        self._observation = Observation(self._measures.counts, st.current_phase_index)
-        return StepOutcome(
-            observation=self._observation,
-            reward=float(-queued),  # int negation avoids -0.0
-            departures=departures,
-            clock_s=t,
-            measures=self._measures,
-        )
+        self._view = self._build_view(mask, departures)
+        return self._view
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +508,13 @@ def run_episode(
 
     for t in range(horizon_s):
         for i, sim in enumerate(sims):
-            outcome = sim.step(controllers[i].decide(sim.control_context()))
-            controllers[i].after_step(outcome)
-            reward_traces[i][t] = outcome.reward
-            phase_traces[i][t] = outcome.observation.phase_index
+            view = sim.step(controllers[i].decide(sim.control_context()))
+            controllers[i].after_step(view)
+            reward_traces[i][t] = view.reward
+            phase_traces[i][t] = view.phase_index
             if collect_queue_traces:
-                queue_traces[i][t] = outcome.measures.queues
-            for vid in outcome.departures:
+                queue_traces[i][t] = view.queues
+            for vid in view.departures:
                 pos = route_pos[vid] + 1
                 route_pos[vid] = pos
                 route = routes[vid]

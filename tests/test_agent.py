@@ -17,7 +17,6 @@ from greenlight.agent import (
     CurvePoint,
     bellman_targets,
     compute_reward,
-    encode_state,
     greedy_controller,
     select_action,
     state_dim,
@@ -35,20 +34,38 @@ from greenlight.core import (
     single_intersection_network,
 )
 from greenlight.neural import TrainingError, load_checkpoint, save_checkpoint
-from greenlight.sim import CHANGE, KEEP, LaneMeasures, Observation, run_episode
+from greenlight.sim import CHANGE, KEEP, StepView, run_episode
 
 
 def lane(label: str) -> LaneId:
     return LaneId(0, Approach(label[0]), Movement(label[1]))
 
 
-def make_measures() -> LaneMeasures:
-    return LaneMeasures(
-        queues=np.array([2, 0]),
-        counts=np.array([3, 1]),
-        waiting_steps=np.array([4, 0]),
-        green_mask=np.array([True, False]),
+def make_view(counts, phase_index: int = 0, *, queues=None, waiting_steps=None,
+              occupancy=None) -> StepView:
+    """A hand-built step view; ``occupancy`` maps cells_per_lane to a vector."""
+    counts = np.array(counts)
+    zeros = np.zeros_like(counts)
+    return StepView(
+        phase_index=phase_index,
+        counts=counts,
+        queues=zeros if queues is None else np.array(queues),
+        waiting_steps=zeros if waiting_steps is None else np.array(waiting_steps),
+        green_mask=np.zeros(len(counts), dtype=bool),
+        reward=0.0,
+        departures=[],
+        clock_s=0,
+        elapsed_green_s=0,
+        in_transition=False,
+        min_green_met=False,
+        occupancy=(occupancy or {}).__getitem__,
     )
+
+
+def encoder(mode: StateMode, occupancy_cells: int = 4) -> DQNAgent:
+    """An agent on the 4-lane, 2-phase intersection, used for its encode()."""
+    return DQNAgent(build_standard_intersection(2),
+                    AgentConfig(state_mode=mode, occupancy_cells=occupancy_cells))
 
 
 def crafted_qnetwork() -> QNetwork:
@@ -104,34 +121,32 @@ def test_state_dims_per_mode():
 
 
 def test_encode_counts_phase_layout():
-    obs = Observation(np.array([1, 2, 3, 4]), phase_index=1)
-    vec = encode_state(obs, StateMode.COUNTS_PHASE, 2)
+    vec = encoder(StateMode.COUNTS_PHASE).encode(make_view([1, 2, 3, 4], phase_index=1))
     assert vec.tolist() == [1.0, 2.0, 3.0, 4.0, 0.0, 1.0]
 
 
-def test_encode_occupancy_modes_require_aux():
-    obs = Observation(np.array([1, 0]), phase_index=0)
-    with pytest.raises(ConfigError):
-        encode_state(obs, StateMode.OCCUPANCY_ONLY, 2)
-    vec = encode_state(obs, StateMode.OCCUPANCY_ONLY, 2, occupancy=np.array([1, 0, 0, 1]))
-    assert vec.tolist() == [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]
-    combo = encode_state(
-        obs, StateMode.COUNTS_PLUS_OCCUPANCY, 2, occupancy=np.array([1, 0, 0, 1])
-    )
-    assert combo.tolist() == [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]
+def test_encode_occupancy_modes_layout():
+    # the agent reads the occupancy vector at its own cells_per_lane
+    occupancy = {2: np.array([1, 0, 0, 1, 0, 0, 2, 0])}
+    view = make_view([1, 0, 2, 0], occupancy=occupancy)
+    vec = encoder(StateMode.OCCUPANCY_ONLY, 2).encode(view)
+    assert vec.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0]
+    combo = encoder(StateMode.COUNTS_PLUS_OCCUPANCY, 2).encode(view)
+    assert combo.tolist() == [1.0, 0.0, 2.0, 0.0,
+                              1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0]
 
 
 def test_encode_waiting_phase():
-    obs = Observation(np.array([9, 9]), phase_index=0)
-    vec = encode_state(obs, StateMode.WAITING_PHASE, 2, waiting=np.array([7, 3]))
-    assert vec.tolist() == [7.0, 3.0, 1.0, 0.0]
+    view = make_view([9, 9, 9, 9], waiting_steps=[7, 3, 0, 1])
+    vec = encoder(StateMode.WAITING_PHASE).encode(view)
+    assert vec.tolist() == [7.0, 3.0, 0.0, 1.0, 1.0, 0.0]
 
 
 # -- rewards -----------------------------------------------------------------
 
 
-def test_reward_modes_on_measures():
-    m = make_measures()
+def test_reward_modes_on_view():
+    m = make_view([3, 1], queues=[2, 0], waiting_steps=[4, 0])
     assert compute_reward(m, RewardMode.QUEUE) == -2.0
     assert compute_reward(m, RewardMode.DELAY) == pytest.approx(-2.0 / 3.0)
     assert compute_reward(m, RewardMode.WAITING) == -4.0

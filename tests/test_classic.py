@@ -250,13 +250,13 @@ class _MeasureRecorder(BaseController):
         self.counts = []
         self.masks = []
 
-    def decide(self, ctx):
-        return self.inner.decide(ctx)
+    def decide(self, view):
+        return self.inner.decide(view)
 
-    def after_step(self, outcome):
-        self.inner.after_step(outcome)
-        self.counts.append(outcome.measures.counts.copy())
-        self.masks.append(outcome.measures.green_mask.copy())
+    def after_step(self, view):
+        self.inner.after_step(view)
+        self.counts.append(view.counts.copy())
+        self.masks.append(view.green_mask.copy())
 
 
 def test_webster_replans_from_exactly_the_last_window_plus_one_observations():

@@ -41,14 +41,14 @@ def mse_gradient_check(net: DenseNet, x, y, **kwargs):
 
 def test_relu_forward_clips_negatives():
     net = DenseNet([Layer(np.eye(2), np.zeros(2), "relu")])
-    out = net.predict(np.array([1.0, -1.0]))
+    out = net.forward(np.array([1.0, -1.0]))[0]
     assert out.tolist() == [1.0, 0.0]
 
 
 def test_forward_batched_and_squeezed_shapes():
     net = DenseNet([Layer(np.ones((3, 2)), np.zeros(3), "identity")])
-    single = net.predict(np.array([1.0, 2.0]))
-    batch = net.predict(np.array([[1.0, 2.0], [0.0, 0.0]]))
+    single = net.forward(np.array([1.0, 2.0]))[0]
+    batch = net.forward(np.array([[1.0, 2.0], [0.0, 0.0]]))[0]
     assert single.shape == (3,)
     assert batch.shape == (2, 3)
     assert batch[0].tolist() == single.tolist()
@@ -58,7 +58,7 @@ def test_forward_batched_and_squeezed_shapes():
 def test_forward_rejects_wrong_input_dim():
     net = identity_net()
     with pytest.raises(ShapeError):
-        net.predict(np.array([1.0, 2.0]))
+        net.forward(np.array([1.0, 2.0]))
 
 
 def test_layer_dims_must_chain():

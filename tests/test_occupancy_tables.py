@@ -17,7 +17,8 @@ def numpy_occupancy(self, cells_per_lane: int) -> np.ndarray:
     if cells_per_lane < 1:
         raise ConfigError("occupancy_cells: cells_per_lane must be >= 1")
     cfg = self.config
-    counts = self._measures.counts
+    view = self.control_context()
+    counts = view.counts
     # every vehicle on a lane, in stop-line order; the first q_j are queued
     lane = np.arange(cfg.lane_count).repeat(counts)
     rank = np.arange(len(lane)) - (counts.cumsum() - counts)[lane]
@@ -26,7 +27,7 @@ def numpy_occupancy(self, cells_per_lane: int) -> np.ndarray:
                         dtype=np.int64, count=len(lane))
     since_entry = self.state.clock_s - (ready - self._ff_steps)
     position = np.where(
-        rank < self._measures.queues[lane],
+        rank < view.queues[lane],
         cfg.road_length_m - rank * VEHICLE_SPACING_M,
         np.minimum(cfg.free_flow_speed_mps * since_entry, cfg.road_length_m),
     )
@@ -102,7 +103,7 @@ def test_queue_longer_than_the_road_clips_to_cell_zero(road_length_m, speed_mps,
         sim.step(KEEP)
         assert_same_occupancy(sim, [cells, 4, 7])
     # the whole queue has reached the line; ranks past the road sit in cell 0
-    assert sim.control_context().queue_lengths[red] == vehicles
+    assert sim.control_context().queues[red] == vehicles
     occupancy = sim.occupancy_vector(cells)[red * cells:(red + 1) * cells]
     past_road = sum(1 for rank in range(vehicles) if road_length_m - rank * VEHICLE_SPACING_M < 0)
     assert occupancy[0] >= past_road > 0

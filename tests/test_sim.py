@@ -40,17 +40,17 @@ def make_sim(**overrides) -> IntersectionSim:
 
 
 class AlwaysChange(BaseController):
-    def decide(self, ctx):
+    def decide(self, view):
         return CHANGE
 
 
 class FixedFive(BaseController):
     """Change the moment five green seconds have elapsed."""
 
-    def decide(self, ctx):
-        if ctx.in_transition:
+    def decide(self, view):
+        if view.in_transition:
             return KEEP
-        return CHANGE if ctx.elapsed_green_s >= 5 else KEEP
+        return CHANGE if view.elapsed_green_s >= 5 else KEEP
 
 
 # -- entry quantization ------------------------------------------------------
@@ -92,10 +92,10 @@ def test_free_flow_vehicle_counts_but_does_not_queue():
     sim = make_sim()
     sim.schedule_arrival(0, lane("WT"), 0.0)
     out = sim.step(KEEP)
-    assert out.observation.vehicle_counts.tolist() == [1, 0, 0, 0]
-    assert out.measures.queues.tolist() == [0, 0, 0, 0]
+    assert out.counts.tolist() == [1, 0, 0, 0]
+    assert out.queues.tolist() == [0, 0, 0, 0]
     assert out.reward == 0.0
-    assert out.measures.stopped_fraction.tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert out.stopped_fraction.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_red_lane_vehicle_waits_and_is_censored():
@@ -125,7 +125,7 @@ def test_discharge_every_other_second_at_headway_two():
     queue_trace = []
     for t in range(40):
         out = sim.step(KEEP)
-        queue_trace.append(int(out.measures.queues[0]))
+        queue_trace.append(int(out.queues[0]))
         for vid in out.departures:
             departs[vid] = t
     assert [departs[v] for v in range(4)] == [30, 32, 34, 36]
@@ -194,7 +194,7 @@ def test_min_green_and_transition_ignores_are_counted():
 def test_change_before_min_green_is_ignored_and_phase_kept():
     sim = make_sim()
     out = sim.step(CHANGE)
-    assert out.observation.phase_index == 0
+    assert out.phase_index == 0
     assert sim.state.ignored_actions == 1
     assert sim.state.transition_countdown_s == 0
 
@@ -205,8 +205,8 @@ def test_instantaneous_switch_without_yellow_or_all_red():
     for _ in range(30):
         sim.step(KEEP)  # vehicle reaches the NT stop line at t=30 (red)
     out = sim.step(CHANGE)  # elapsed green 30 >= 5: switch this very step
-    assert out.observation.phase_index == 1
-    assert out.measures.green_mask.tolist() == [False, False, True, True]
+    assert out.phase_index == 1
+    assert out.green_mask.tolist() == [False, False, True, True]
     # the new green starts from zero credit: release comes one second later
     assert out.departures == []
     out = sim.step(KEEP)
@@ -219,10 +219,10 @@ def test_observation_reports_outgoing_phase_mid_transition():
         sim.step(KEEP)
     sim.step(CHANGE)  # t=5: transition begins
     assert sim.state.transition_countdown_s == 5
-    ctx = sim.control_context()
-    assert ctx.observation.phase_index == 0
-    assert ctx.in_transition
-    assert not ctx.green_mask.any()
+    view = sim.control_context()
+    assert view.phase_index == 0
+    assert view.in_transition
+    assert not view.green_mask.any()
 
 
 def test_elapsed_green_freezes_during_transition():
@@ -254,26 +254,24 @@ def test_waiting_measure_counts_post_movement_snapshots():
     sim.schedule_arrival(0, lane("NT"), 0.0)
     outs = [sim.step(KEEP) for _ in range(33)]
     # ready at 30; waiting measure = snapshots seen so far (1 at t=30, ...)
-    assert outs[29].measures.waiting_steps[2] == 0
-    assert outs[30].measures.waiting_steps[2] == 1
-    assert outs[32].measures.waiting_steps[2] == 3
-    assert outs[32].measures.stopped_fraction[2] == 1.0
+    assert outs[29].waiting_steps[2] == 0
+    assert outs[30].waiting_steps[2] == 1
+    assert outs[32].waiting_steps[2] == 3
+    assert outs[32].stopped_fraction[2] == 1.0
 
 
-def test_measures_are_built_once_per_step_and_read_only():
+def test_one_read_only_view_per_step_clocked_by_steps_run():
     sim = make_sim()
     sim.schedule_arrival(0, lane("NT"), 0.0)
-    for _ in range(31):
-        out = sim.step(KEEP)
-    ctx = sim.control_context()
-    # the next context reads the arrays the step built, so neither may change them
-    assert ctx.observation is out.observation
-    assert ctx.queue_lengths is out.measures.queues
-    assert ctx.waiting_steps is out.measures.waiting_steps
-    assert ctx.green_mask is out.measures.green_mask
-    measures = out.measures
-    for array in (measures.queues, measures.counts, measures.waiting_steps,
-                  measures.stopped_fraction, measures.green_mask):
+    before = sim.control_context()
+    assert (before.clock_s, before.reward, before.departures) == (0, 0.0, [])
+    for steps in range(1, 32):
+        view = sim.step(KEEP)
+        # the next decide reads the view the step returned, so neither may change it
+        assert sim.control_context() is view
+        assert view.clock_s == steps
+    for array in (view.queues, view.counts, view.waiting_steps,
+                  view.stopped_fraction, view.green_mask):
         with pytest.raises(ValueError):
             array[2] = 0
 
@@ -353,8 +351,8 @@ def test_validate_demand_rejects_unlinked_hops_and_revisits(grid, phases, route,
     decisions = []
 
     class Recording(AlwaysKeepController):
-        def decide(self, ctx):
-            decisions.append(ctx.clock_s)
+        def decide(self, view):
+            decisions.append(view.clock_s)
             return KEEP
 
     with pytest.raises(ConfigError, match=f"vehicle {first_bad} .*{match}"):
@@ -399,9 +397,9 @@ def test_zero_link_time_with_multi_hop_routes_is_rejected_before_the_first_step(
     decisions = []
 
     class Recording(FixedTimeController):
-        def decide(self, ctx):
-            decisions.append(ctx.clock_s)
-            return super().decide(ctx)
+        def decide(self, view):
+            decisions.append(view.clock_s)
+            return super().decide(view)
 
     flat = dataclasses.replace(grid, link_travel_time_s=0.0)
     with pytest.raises(ConfigError, match="link_travel_time_s"):

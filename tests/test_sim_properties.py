@@ -73,12 +73,12 @@ def replay_departures(cfg, phase_trace, red, ready_by_lane):
     return departs
 
 
-def sotl_reference(cfg, ctx, theta_red, theta_green):
+def sotl_reference(cfg, view, theta_red, theta_green):
     """SOTL with green and red lanes taken from the phase's lane list."""
-    if ctx.in_transition or ctx.elapsed_green_s < cfg.min_green_s:
+    if view.in_transition or view.elapsed_green_s < cfg.min_green_s:
         return KEEP
-    green = cfg.green_lane_indices(ctx.observation.phase_index)
-    queues = [int(q) for q in ctx.queue_lengths]
+    green = cfg.green_lane_indices(view.phase_index)
+    queues = [int(q) for q in view.queues]
     red_max = max((q for j, q in enumerate(queues) if j not in green), default=0)
     green_sum = sum(queues[j] for j in green)
     return CHANGE if red_max > theta_red and green_sum < theta_green else KEEP
@@ -133,23 +133,24 @@ def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells, 
 
     phases, all_red, reward_sum = [], [], 0.0
     for t, action in enumerate(actions):
-        ctx = sim.control_context()
-        if not ctx.in_transition:
-            green = cfg.green_lane_indices(ctx.observation.phase_index)
-            assert ctx.green_mask.tolist() == [j in green for j in range(cfg.lane_count)]
-        assert sotl.decide(ctx) == sotl_reference(cfg, ctx, theta_red, theta_green)
+        view = sim.control_context()
+        if not view.in_transition:
+            green = cfg.green_lane_indices(view.phase_index)
+            assert view.green_mask.tolist() == [j in green for j in range(cfg.lane_count)]
+        assert sotl.decide(view) == sotl_reference(cfg, view, theta_red, theta_green)
         out = sim.step(action)
-        phases.append(out.observation.phase_index)
-        all_red.append(not out.measures.green_mask.any())
+        assert sim.control_context() is out and out.clock_s == t + 1
+        phases.append(out.phase_index)
+        all_red.append(not out.green_mask.any())
         reward_sum += out.reward
         log = sim.log
-        assert log.entered_count() == len(log.delays()) + int(out.measures.counts.sum())
+        assert log.entered_count() == len(log.delays()) + int(out.counts.sum())
         queues, counts, waiting = measures_reference(cfg, log, lane_of, t + 1)
-        assert out.measures.queues.tolist() == queues
-        assert out.measures.counts.tolist() == counts
-        assert out.measures.waiting_steps.tolist() == waiting
-        assert out.measures.stopped_fraction.tolist() == [q / max(v, 1)
-                                                          for q, v in zip(queues, counts)]
+        assert out.queues.tolist() == queues
+        assert out.counts.tolist() == counts
+        assert out.waiting_steps.tolist() == waiting
+        assert out.stopped_fraction.tolist() == [q / max(v, 1)
+                                                 for q, v in zip(queues, counts)]
         assert out.reward == -sum(queues)
         assert math.copysign(1.0, out.reward) == (-1.0 if any(queues) else 1.0)  # no -0.0
         assert -reward_sum == log.censored_waiting(t + 1)

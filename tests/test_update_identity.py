@@ -24,12 +24,12 @@ from greenlight.sim import CHANGE, KEEP, run_episode
 
 
 def ref_q_values(qnet, x, phase):
-    emb = qnet.trunk.predict(x)
+    emb = qnet.trunk.forward(x)[0]
     return emb @ qnet.head_w[phase].T + qnet.head_b[phase]
 
 
 def ref_q_batch(qnet, states, phases):
-    emb = qnet.trunk.predict(states)
+    emb = qnet.trunk.forward(states)[0]
     q = emb @ qnet.head_w.reshape(-1, emb.shape[1]).T
     rows = np.arange(len(emb))
     return q.reshape(len(emb), qnet.phase_count, 2)[rows, phases] + qnet.head_b[phases]
@@ -212,16 +212,16 @@ def test_queue_reward_sums_equal_compute_reward_sums(monkeypatch):
     real_compute = agent_mod.compute_reward
 
     class Recording(agent_mod.AgentController):
-        def after_step(self, outcome):
-            per_step.append(real_compute(outcome.measures, RewardMode.QUEUE))
-            assert outcome.reward == per_step[-1]
-            super().after_step(outcome)
+        def after_step(self, view):
+            per_step.append(real_compute(view, RewardMode.QUEUE))
+            assert view.reward == per_step[-1]
+            super().after_step(view)
 
     calls = []
     monkeypatch.setattr(agent_mod, "compute_reward",
                         lambda *a, **k: calls.append(1) or real_compute(*a, **k))
     run_episode(net, [Recording(agent, training=True)], demand, horizon_s=60)
-    assert calls == []  # the queue reward is read from the step outcome
+    assert calls == []  # the queue reward is read from the step view
     expected = []
     for start in range(0, 57, 3):
         acc = 0.0
