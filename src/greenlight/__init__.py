@@ -53,8 +53,6 @@ from .neural import (
     TrainingError,
     adam_step,
     gradient_check,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .agent import (
     AgentConfig,

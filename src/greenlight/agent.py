@@ -34,8 +34,6 @@ from .neural import (
     Layer,
     TrainingError,
     adam_step,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .sim import (
     CHANGE,
@@ -176,7 +174,7 @@ class QNetwork:
     All parameters live in one flat float64 vector ``theta``: the trunk's
     (weight, bias) per layer, then the head weights (K, 2, H), then the head
     biases (K, 2).  ``trunk``, ``head_w`` and ``head_b`` are views into it,
-    so copying, syncing, optimizing and checkpointing act on ``theta`` alone.
+    so copying, syncing and optimizing act on ``theta`` alone.
     """
 
     def __init__(self, input_dim: int, phase_count: int,
@@ -429,7 +427,6 @@ class DQNAgent:
                  config: AgentConfig | None = None, *, seed: int = 0) -> None:
         self.intersection = intersection
         self.config = config if config is not None else AgentConfig()
-        self.seed = seed
         seqs = np.random.SeedSequence(seed).spawn(3)
         self.init_rng = np.random.default_rng(seqs[0])
         self.action_rng = np.random.default_rng(seqs[1])
@@ -458,7 +455,7 @@ class DQNAgent:
     def set_epsilon_horizon(self, total_training_steps: int,
                             fraction: float = 0.6) -> None:
         """Resolve the linear epsilon ramp against a planned step budget,
-        unless the config or a loaded checkpoint already fixed it."""
+        unless the config or an earlier call already fixed it."""
         if self._decay_steps is None:
             self._decay_steps = max(1, int(total_training_steps * fraction))
 
@@ -540,44 +537,6 @@ class DQNAgent:
         out = self._episode_losses
         self._episode_losses = []
         return out
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Checkpoint networks, optimizer, and schedule state (not replay)."""
-        adam = self.adam
-        meta = {"kind": "dqn-agent", "agent_config": self.config.to_dict(),
-                "seed": self.seed, "decision_steps": self.decision_steps,
-                "learn_steps": self.learn_steps, "decay_steps": self._decay_steps,
-                "adam": {"learning_rate": adam.learning_rate, "beta1": adam.beta1,
-                         "beta2": adam.beta2, "epsilon": adam.epsilon,
-                         "step_count": adam.step_count}}
-        arrays = {"qnet": self.qnet.theta, "target": self.target.theta,
-                  "adam.m": adam.m, "adam.v": adam.v}
-        save_checkpoint(path, arrays, meta)
-
-    @classmethod
-    def load(cls, path, intersection: IntersectionConfig) -> "DQNAgent":
-        arrays, meta = load_checkpoint(path)
-        if meta.get("kind") != "dqn-agent":
-            raise ConfigError(f"checkpoint at {path} is not an agent checkpoint")
-        agent = cls(intersection, AgentConfig.from_dict(meta["agent_config"]),
-                    seed=meta["seed"])
-        expected = agent.qnet.theta.shape
-        for key in ("qnet", "target", "adam.m", "adam.v"):
-            found = arrays[key].shape if key in arrays else "no array"
-            if found != expected:
-                raise ConfigError(
-                    f"checkpoint at {path}: {key!r} has shape {found}, but this "
-                    f"intersection's network has {expected[0]} parameters"
-                )
-        agent.qnet.theta[...] = arrays["qnet"]
-        agent.target.theta[...] = arrays["target"]
-        agent.adam = AdamState(**meta["adam"], m=arrays["adam.m"], v=arrays["adam.v"])
-        agent.decision_steps = meta["decision_steps"]
-        agent.learn_steps = meta["learn_steps"]
-        agent._decay_steps = meta["decay_steps"]
-        return agent
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,7 @@ def cmd_run(args) -> int:
         cfg.controller.kind = args.controller
     if args.episodes is not None:
         cfg.run.episodes = args.episodes
+    config_mod.validate_config(cfg)
     try:
         rows, paths = harness.run_experiment(cfg, check=args.check)
     except AssertionError as exc:
@@ -111,6 +112,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train: controller.kind must be 'rl'")
     if args.episodes is not None:
         cfg.train.episodes = args.episodes
+    config_mod.validate_config(cfg)
     rows, paths = harness.run_experiment(cfg)
     for path in paths:
         print(path)
@@ -132,6 +134,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.networks < 1:
+        raise ConfigError("gradcheck: --networks must be >= 1")
     results = harness.gradcheck_qnetworks(args.networks, args.seed)
     worst = max(r.max_rel_error for r in results)
     checked = sum(r.checked for r in results)

@@ -282,6 +282,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("run.seeds: need at least one seed")
     if cfg.train.episodes < 1:
         raise ConfigError("train.episodes: must be >= 1")
+    if cfg.train.horizon_s is not None and cfg.train.horizon_s < 1:
+        raise ConfigError("train.horizon_s: must be >= 1")
     for key in ("theta_red", "theta_green"):
         if getattr(ctrl, key) < 0:
             raise ConfigError(f"controller.{key}: must be >= 0")

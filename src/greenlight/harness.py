@@ -177,7 +177,7 @@ def run_seed(
     converged_at = None
     if ctrl_kind == "rl":
         agents = make_agents(network, AgentConfig.from_dict(cfg.controller.agent), seed)
-        train_horizon = cfg.train.horizon_s or horizon
+        train_horizon = horizon if cfg.train.horizon_s is None else cfg.train.horizon_s
         training = train(
             agents, network, demand_fn, cfg.train.episodes, train_horizon,
             base_seed=_mix_seed(seed, 1),

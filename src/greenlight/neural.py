@@ -1,15 +1,13 @@
 """Small dense networks with hand-written backprop.
 
 Everything the value network needs and nothing more: affine layers with
-relu/identity activations, exact reverse-mode gradients, an Adam optimizer,
-a central-difference gradient checker, and a bit-exact checkpoint format.
-All math is float64 numpy; inputs may be single vectors or (batch, dim)
-matrices.
+relu/identity activations, exact reverse-mode gradients, an Adam optimizer
+and a central-difference gradient checker.  All math is float64 numpy;
+inputs may be single vectors or (batch, dim) matrices.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -273,32 +271,3 @@ def gradient_check(
         if err > max_err:
             max_err, worst = err, (pi, fi)
     return GradCheckResult(max_err, checked, skipped, worst)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-CHECKPOINT_VERSION = 2
-
-
-def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Write arrays + metadata to one .npz; float64 round-trips bit-exactly."""
-    payload = dict(arrays)
-    payload["__meta__"] = np.frombuffer(
-        json.dumps({"version": CHECKPOINT_VERSION, **meta}).encode("utf-8"),
-        dtype=np.uint8,
-    )
-    np.savez(path, **payload)
-
-
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files if k != "__meta__"}
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise TrainingError(
-            f"unsupported checkpoint version {meta.get('version')} at {path}; "
-            f"this build reads version {CHECKPOINT_VERSION} only"
-        )
-    return arrays, meta

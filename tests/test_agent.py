@@ -1,7 +1,5 @@
 """Q-learning agent: encoding, rewards, network heads, replay, control loop."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -33,7 +31,6 @@ from greenlight.core import (
     build_standard_intersection,
     single_intersection_network,
 )
-from greenlight.neural import TrainingError, load_checkpoint, save_checkpoint
 from greenlight.sim import CHANGE, KEEP, StepView, run_episode
 
 
@@ -397,60 +394,7 @@ def test_agent_same_seed_same_decisions():
     assert picks_a == picks_b
 
 
-def test_agent_save_load_round_trip(tmp_path):
-    inter = build_standard_intersection(2)
-    agent = DQNAgent(inter, AgentConfig(batch_size=2), seed=9)
-    s = np.zeros(agent.state_dim)
-    for i in range(8):
-        agent.remember(s + i, i % 2, i % 2, -float(i), s, 0)
-        agent.learn_step()
-    agent.decision_steps = 123
-    path = tmp_path / "agent.npz"
-    agent.save(path)
-
-    twin = DQNAgent.load(path, inter)
-    # bit exact, not approx
-    assert np.array_equal(twin.qnet.theta, agent.qnet.theta)
-    assert np.array_equal(twin.target.theta, agent.target.theta)
-    assert np.array_equal(twin.adam.m, agent.adam.m)
-    assert np.array_equal(twin.adam.v, agent.adam.v)
-    probe = np.linspace(-1, 1, agent.state_dim)
-    for k in range(2):
-        assert np.array_equal(twin.qnet.q_values(probe, k), agent.qnet.q_values(probe, k))
-        assert np.array_equal(twin.target.q_values(probe, k), agent.target.q_values(probe, k))
-    assert twin.decision_steps == 123
-    assert twin.learn_steps == agent.learn_steps
-    hyper = ("learning_rate", "beta1", "beta2", "epsilon", "step_count")
-    assert [getattr(twin.adam, h) for h in hyper] == [getattr(agent.adam, h) for h in hyper]
-    with np.load(path) as data:
-        assert sorted(data.files) == ["__meta__", "adam.m", "adam.v", "qnet", "target"]
-
-
-def test_training_resumes_from_a_checkpoint_exactly(tmp_path):
-    inter = build_standard_intersection(2)
-    net = single_intersection_network(inter)
-    from greenlight.demand import generate_uniform
-
-    def demand_fn(episode):
-        return generate_uniform(400.0, list(inter.lanes), 150.0)
-
-    agent = DQNAgent(inter, AgentConfig(batch_size=8, target_sync_interval=50), seed=3)
-    train(agent, net, demand_fn, episodes=1, horizon_s=200)
-    agent.save(tmp_path / "agent.npz")
-    resumed = DQNAgent.load(tmp_path / "agent.npz", inter)
-    # replay memory and random streams are not checkpointed; hand them over
-    resumed.memory = copy.deepcopy(agent.memory)
-    resumed.action_rng = copy.deepcopy(agent.action_rng)
-
-    for a in (agent, resumed):
-        train(a, net, demand_fn, episodes=1, horizon_s=200, base_seed=1)
-    assert resumed.learn_steps == agent.learn_steps > 200
-    assert np.array_equal(resumed.qnet.theta, agent.qnet.theta)
-    assert np.array_equal(resumed.target.theta, agent.target.theta)
-    assert np.array_equal(resumed.adam.m, agent.adam.m)
-
-
-def test_checkpoint_epsilon_horizon_survives_resumed_training(tmp_path):
+def test_epsilon_horizon_survives_a_second_train_call():
     inter = build_standard_intersection(2)
     net = single_intersection_network(inter)
     from greenlight.demand import generate_uniform
@@ -461,35 +405,8 @@ def test_checkpoint_epsilon_horizon_survives_resumed_training(tmp_path):
     agent = DQNAgent(inter, AgentConfig(batch_size=8), seed=3)
     train(agent, net, demand_fn, episodes=4, horizon_s=200)
     assert agent._decay_steps == 480  # 0.6 of 4 x 200 decisions
-    agent.save(tmp_path / "agent.npz")
-    resumed = DQNAgent.load(tmp_path / "agent.npz", inter)
-    train(resumed, net, demand_fn, episodes=1, horizon_s=200, base_seed=4)
-    assert resumed._decay_steps == 480
-
-
-def test_load_rejects_version_1_checkpoint(tmp_path):
-    import json
-
-    meta = json.dumps({"version": 1, "kind": "dqn-agent"}).encode()
-    path = tmp_path / "v1.npz"
-    np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8),
-             **{"trunk.w0": np.zeros((32, 6)), "head0.w0": np.zeros((2, 32))})
-    with pytest.raises(TrainingError, match="version 1 "):
-        DQNAgent.load(path, build_standard_intersection(2))
-
-
-def test_load_rejects_theta_that_does_not_fit_the_intersection(tmp_path):
-    path = tmp_path / "agent.npz"
-    DQNAgent(build_standard_intersection(2), seed=0).save(path)
-    # four phases and more lanes need a larger network
-    with pytest.raises(ConfigError, match="'qnet' has shape"):
-        DQNAgent.load(path, build_standard_intersection(4))
-    # a truncated optimizer moment is caught the same way
-    arrays, meta = load_checkpoint(path)
-    arrays["adam.v"] = arrays["adam.v"][:-1]
-    save_checkpoint(path, arrays, {k: v for k, v in meta.items() if k != "version"})
-    with pytest.raises(ConfigError, match="'adam.v' has shape"):
-        DQNAgent.load(path, build_standard_intersection(2))
+    train(agent, net, demand_fn, episodes=1, horizon_s=200, base_seed=4)
+    assert agent._decay_steps == 480
 
 
 # -- controller bridging -----------------------------------------------------

@@ -103,6 +103,17 @@ def test_run_requires_config_argument():
         cli.main(["run"])
 
 
+@pytest.mark.parametrize("command,controller", [("run", "fixedtime"), ("train", "rl")])
+@pytest.mark.parametrize("episodes", ["0", "-2"])
+def test_episode_override_is_validated_before_any_output(tmp_path, capsys,
+                                                          command, controller, episodes):
+    code = cli.main([command, "--config", tiny_config(tmp_path, controller),
+                     "--episodes", episodes])
+    assert code == cli.EXIT_CONFIG
+    assert f"{command}.episodes: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -196,6 +207,12 @@ def test_gradcheck_failure_exits_3(capsys, monkeypatch):
     code = cli.main(["gradcheck"])
     assert code == cli.EXIT_CHECK
     assert "FAILED" in capsys.readouterr().err
+
+
+def test_gradcheck_without_networks_exits_1(capsys):
+    code = cli.main(["gradcheck", "--networks", "0"])
+    assert code == cli.EXIT_CONFIG
+    assert "gradcheck: --networks must be >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,8 @@ def test_load_config_empty_file_is_default_config(tmp_path):
     ({"run": {"episodes": 0}}, r"run\.episodes"),
     ({"run": {"seeds": []}}, r"run\.seeds"),
     ({"train": {"episodes": 0}}, r"train\.episodes"),
+    ({"train": {"horizon_s": 0}}, r"train\.horizon_s: must be >= 1"),
+    ({"train": {"horizon_s": -5}}, r"train\.horizon_s: must be >= 1"),
     ({"controller": {"theta_red": -1}}, r"controller\.theta_red"),
     ({"controller": {"theta_green": -0.5}}, r"controller\.theta_green"),
     # quoted YAML numbers, floats where counts belong, and bools as numbers

@@ -1,4 +1,4 @@
-"""Dense net forward/backward, optimizer, gradient checking, checkpoints."""
+"""Dense net forward/backward, optimizer, gradient checking."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from greenlight.neural import (
     TrainingError,
     adam_step,
     gradient_check,
-    load_checkpoint,
-    save_checkpoint,
 )
 
 
@@ -231,34 +229,3 @@ def test_adam_flat_update_matches_per_array_loop():
             v[...] = b2 * v + (1.0 - b2) * g * g
             p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
         assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
-
-
-# -- checkpoints -------------------------------------------------------------
-
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(11)
-    theta = rng.normal(size=50)
-    adam = AdamState.for_parameters(theta, learning_rate=0.01)
-    adam_step(adam, theta, rng.normal(size=theta.shape))
-
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, {"theta": theta, "adam.m": adam.m, "adam.v": adam.v},
-                    {"step_count": adam.step_count})
-    arrays, meta = load_checkpoint(path)
-
-    assert np.array_equal(arrays["theta"], theta)  # bit exact, not approx
-    assert np.array_equal(arrays["adam.m"], adam.m)
-    assert np.array_equal(arrays["adam.v"], adam.v)
-    assert meta["step_count"] == 1 and meta["version"] == 2
-
-
-def test_checkpoint_version_guard(tmp_path):
-    import json
-
-    for version in (1, 999):
-        path = tmp_path / f"v{version}.npz"
-        meta = json.dumps({"version": version}).encode()
-        np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8))
-        with pytest.raises(TrainingError, match=f"version {version} "):
-            load_checkpoint(path)
