@@ -148,13 +148,13 @@ def compute_reward(view: StepView, mode: RewardMode,
     """
     mode = RewardMode(mode)
     if mode is RewardMode.QUEUE:
-        return -float(view.queues.sum())
+        return -float(sum(view.queues))
     if mode is RewardMode.DELAY:
         return -float(view.stopped_fraction.sum())
     if mode is RewardMode.WAITING:
-        return -float(view.waiting_steps.sum())
+        return -float(sum(view.waiting_steps))
     if mode is RewardMode.VEHICLES:
-        return -float(view.counts.sum())
+        return -float(sum(view.counts))
     if mode is RewardMode.WEIGHTED:
         if not weights:
             raise ConfigError("compute_reward: weighted mode needs weights")
@@ -476,17 +476,17 @@ class DQNAgent:
         even though head routing also keys on it.
         """
         mode = self.config.state_mode
-        one_hot = np.zeros(self.intersection.phase_count)
-        one_hot[view.phase_index] = 1.0
+        one_hot = [0] * self.intersection.phase_count
+        one_hot[view.phase_index] = 1
         if mode is StateMode.COUNTS_PHASE:
-            return np.concatenate([view.counts.astype(float), one_hot])
+            return np.array([*view.counts, *one_hot], dtype=float)
         if mode is StateMode.WAITING_PHASE:
-            return np.concatenate([view.waiting_steps.astype(float), one_hot])
-        occupancy = view.occupancy(self.config.occupancy_cells).astype(float)
+            return np.array([*view.waiting_steps, *one_hot], dtype=float)
+        occupancy = view.occupancy(self.config.occupancy_cells)
         if mode is StateMode.COUNTS_PLUS_OCCUPANCY:
-            return np.concatenate([view.counts.astype(float), occupancy, one_hot])
+            return np.concatenate([view.counts, occupancy, one_hot]).astype(float)
         if mode is StateMode.OCCUPANCY_ONLY:
-            return np.concatenate([occupancy, one_hot])
+            return np.concatenate([occupancy, one_hot]).astype(float)
         raise ConfigError(f"state_mode: unknown mode {mode!r}")
 
     def act(self, encoded_state: np.ndarray, phase_index: int, *,
@@ -659,10 +659,8 @@ def train(
     for episode in range(episodes):
         demand = list(demand_fn(episode))
         controllers = [training_controller(a) for a in agent_list]
-        outcome = run_episode(
-            network, controllers, demand, horizon_s,
-            seed=base_seed + episode, collect_queue_traces=False,
-        )
+        outcome = run_episode(network, controllers, demand, horizon_s,
+                              seed=base_seed + episode)
         travel = [
             censored_avg_travel_time(log, horizon_s) for log in outcome.travel_logs
         ]

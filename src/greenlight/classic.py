@@ -262,18 +262,24 @@ class SotlController(BaseController):
 
     def __init__(self, config: IntersectionConfig, *, theta_red: float = 4.0,
                  theta_green: float = 2.0) -> None:
+        if theta_red < 0 or theta_green < 0:
+            raise ConfigError("sotl: thresholds must be >= 0")
         self.config = config
         self.theta_red = theta_red
         self.theta_green = theta_green
+        # per phase, the lane indices it serves and the ones it holds red
+        self._green_lanes = [config.green_lane_indices(k) for k in range(config.phase_count)]
+        self._red_lanes = [tuple(j for j in range(config.lane_count) if j not in green)
+                           for green in self._green_lanes]
 
     def decide(self, view: StepView) -> int:
         if view.in_transition:
             return KEEP
-        # outside a transition the mask is the current phase's green
-        queues, green = view.queues, view.green_mask
+        # outside a transition the active phase's lanes are the green ones
+        queues, k = view.queues, view.phase_index
         return sotl_decide(
-            queues[green].tolist(), queues[~green].tolist(), view.elapsed_green_s,
-            self.theta_red, self.theta_green, self.config.min_green_s,
+            [queues[j] for j in self._green_lanes[k]], [queues[j] for j in self._red_lanes[k]],
+            view.elapsed_green_s, self.theta_red, self.theta_green, self.config.min_green_s,
         )
 
 
@@ -302,9 +308,10 @@ class WebsterController(BaseController):
         self.warmup_phase_s = warmup_phase_s
         self.plan = _TimingPlan(0.0, [warmup_phase_s] * config.phase_count, "fallback")
         # the post-step counts and masks of the last window + 1 steps, kept by
-        # reference: the simulator hands out fresh read-only arrays each step
+        # reference: count tuples are immutable and masks read-only
         history = self.params.measurement_window_s + 1
-        self._counts: deque[np.ndarray] = deque([np.zeros(config.lane_count)], maxlen=history)
+        self._counts: deque[tuple[int, ...]] = deque([(0,) * config.lane_count],
+                                                     maxlen=history)
         self._masks: deque[np.ndarray] = deque([np.zeros(config.lane_count, dtype=bool)],
                                                maxlen=history)
         self.replan_log: list[tuple[int, _TimingPlan]] = []
@@ -316,7 +323,7 @@ class WebsterController(BaseController):
         return _TimingPlan(c_max, [g] * k, "saturated")
 
     def _replan(self, clock_s: int) -> None:
-        est = estimate_flows(np.stack(self._counts), np.stack(self._masks))
+        est = estimate_flows(np.array(self._counts, dtype=float), np.stack(self._masks))
         if not est.f_in_valid().all():
             return  # keep the current plan until every lane has red samples
         volumes = critical_volumes_vph(self.config, est.f_in_per_lane)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,17 +51,19 @@ class StepView:
     step (and once by the constructor, before the first).
 
     The same object reaches ``after_step`` for the step just run and
-    ``decide`` for the step about to run: nothing changes in between.  Its
-    arrays are read-only; ``occupancy`` reads the live state, so it is valid
-    until the next step.  Not a frozen dataclass: one is built per
-    intersection-step, and a frozen one costs several times as much to build.
+    ``decide`` for the step about to run: nothing changes in between.  The
+    lane measures are tuples of Python ints and the arrays are read-only;
+    ``occupancy`` reads the live state, so it is valid until the next step.
+    Not a frozen dataclass: one is built per intersection-step, and a frozen
+    one costs several times as much to build.
     """
 
     phase_index: int              # active phase; the outgoing one mid-transition
-    counts: np.ndarray            # v_j, all vehicles on the lane, ordered by lane index
-    queues: np.ndarray            # q_j, vehicles stopped at the line
-    waiting_steps: np.ndarray     # summed waiting-so-far of queued vehicles
-    green_mask: np.ndarray        # c_j of the step just run, and of the next if it keeps
+    counts: tuple[int, ...]       # v_j, all vehicles on the lane, ordered by lane index
+    queues: tuple[int, ...]       # q_j, vehicles stopped at the line
+    waiting_steps: tuple[int, ...]  # summed waiting-so-far of queued vehicles
+    green_mask: np.ndarray        # c_j of the step just run, and of the next if it keeps;
+                                  # the simulator's shared read-only array
     reward: float                 # -sum(q_j), always <= 0; 0.0 before the first step
     departures: list[int]         # vehicle ids that crossed the stop line in the step
     clock_s: int                  # the next step to run = the number of steps run
@@ -71,9 +74,10 @@ class StepView:
 
     @cached_property
     def stopped_fraction(self) -> np.ndarray:
-        """q_j / v_j, 0 where the lane is empty; computed on first read,
-        since only the ``delay`` reward, alone or weighted, reads it."""
-        return _read_only(self.queues / np.maximum(self.counts, 1))
+        """q_j / v_j as a read-only float array, 0 where the lane is empty;
+        computed on first read, since only the ``delay`` reward, alone or
+        weighted, reads it."""
+        return _read_only(np.array(self.queues) / np.maximum(self.counts, 1))
 
 
 @dataclass
@@ -181,9 +185,9 @@ class AlwaysKeepController(BaseController):
         return KEEP
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 class _CellTables:
@@ -268,23 +272,20 @@ class IntersectionSim:
     # -- step view -----------------------------------------------------------
 
     def _build_view(self, green_mask: np.ndarray, departures: list[int]) -> StepView:
-        """The view of the current state.
-
-        The three lane rows are views of one read-only integer table, built
-        from one flat list of Python ints.
-        """
+        """The view of the current state; each lane measure is one tuple of
+        Python ints, built by one pass over the lanes."""
         st = self.state
         lanes = st.lanes
         now = st.clock_s
-        queued = [l.ready - l.departed for l in lanes]
-        flat = (queued
-                + [len(l.ready_steps) - l.departed for l in lanes]
-                # a vehicle queued since step r has waited through steps r .. now - 1
-                + [now * q - l.ready_sum for q, l in zip(queued, lanes)])
-        queues, counts, waiting = _read_only(np.array(flat, dtype=np.int64)).reshape(3, -1)
+        queues = tuple([l.ready - l.departed for l in lanes])
         return StepView(
-            st.current_phase_index, counts, queues, waiting, green_mask,
-            float(-sum(queued)),  # int negation avoids -0.0
+            st.current_phase_index,
+            tuple([len(l.ready_steps) - l.departed for l in lanes]),
+            queues,
+            # a vehicle queued since step r has waited through steps r .. now - 1
+            tuple([now * q - l.ready_sum for q, l in zip(queues, lanes)]),
+            green_mask,
+            float(-sum(queues)),  # int negation avoids -0.0
             departures, now, st.green_elapsed_s, st.transition_countdown_s > 0,
             st.green_elapsed_s >= self.config.min_green_s, self.occupancy_vector,
         )
@@ -461,14 +462,14 @@ def run_episode(
     demand: Sequence[Vehicle],
     horizon_s: int,
     seed: int = 0,
-    *,
-    collect_queue_traces: bool = True,
 ) -> EpisodeResult:
     """Step every intersection once per second for `horizon_s` seconds.
 
     Vehicles departing an intersection re-enter the next intersection of
-    their route after the network link travel time.  Fully deterministic
-    for a given (network, controllers, demand, seed).
+    their route after the network link travel time.  Each step's reward,
+    phase and queue row go into flat buffers, turned into the trace arrays
+    once, at the end.  Fully deterministic for a given (network,
+    controllers, demand, seed).
     """
     if horizon_s <= 0:
         raise ConfigError("horizon: horizon_s must be positive")
@@ -497,23 +498,18 @@ def run_episode(
         first = veh.route[0]
         sims[first.intersection].schedule_arrival(veh.id, first, veh.entry_time_s)
 
-    m = [cfg.lane_count for cfg in network.intersections]
-    reward_traces = [np.zeros(horizon_s) for _ in range(n)]
-    phase_traces = [np.zeros(horizon_s, dtype=np.int64) for _ in range(n)]
-    queue_traces = [
-        np.zeros((horizon_s, m[i]), dtype=np.int64) if collect_queue_traces else np.zeros((0, 0))
-        for i in range(n)
-    ]
+    rewards = [array("d") for _ in range(n)]
+    phases = [array("q") for _ in range(n)]
+    queues = [array("q") for _ in range(n)]
     network_departures = 0
 
     for t in range(horizon_s):
         for i, sim in enumerate(sims):
             view = sim.step(controllers[i].decide(sim.control_context()))
             controllers[i].after_step(view)
-            reward_traces[i][t] = view.reward
-            phase_traces[i][t] = view.phase_index
-            if collect_queue_traces:
-                queue_traces[i][t] = view.queues
+            rewards[i].append(view.reward)
+            phases[i].append(view.phase_index)
+            queues[i].extend(view.queues)
             for vid in view.departures:
                 pos = route_pos[vid] + 1
                 route_pos[vid] = pos
@@ -528,9 +524,10 @@ def run_episode(
 
     return EpisodeResult(
         travel_logs=[sim.log for sim in sims],
-        reward_traces=reward_traces,
-        queue_traces=queue_traces,
-        phase_traces=phase_traces,
+        reward_traces=[np.frombuffer(r, dtype=np.float64) for r in rewards],
+        queue_traces=[np.frombuffer(q, dtype=np.int64).reshape(horizon_s, cfg.lane_count)
+                      for q, cfg in zip(queues, network.intersections)],
+        phase_traces=[np.frombuffer(p, dtype=np.int64) for p in phases],
         horizon_s=horizon_s,
         seed=seed,
         network_departures=network_departures,
@@ -541,8 +538,6 @@ def run_episode(
 def write_trace_csv(out: TextIO, result: EpisodeResult, intersection: int = 0) -> None:
     """Export `t,phase,reward,q_lane0,...` for one intersection of an episode."""
     queues = result.queue_traces[intersection]
-    if queues.size == 0:
-        raise ConfigError("trace_export: episode was run without queue traces")
     lanes = queues.shape[1]
     header = "t,phase,reward," + ",".join(f"q_lane{j}" for j in range(lanes))
     out.write(header + "\n")

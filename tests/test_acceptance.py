@@ -427,7 +427,7 @@ class _MeasureRecorder(BaseController):
 
     def after_step(self, view):
         self.inner.after_step(view)
-        self.counts.append(view.counts.copy())
+        self.counts.append(view.counts)  # a tuple: nothing can change it
         self.masks.append(view.green_mask.copy())
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from greenlight.agent import (
     AgentConfig,
-    AgentController,
     DQNAgent,
     QNetwork,
     ReplayMemory,
@@ -41,13 +40,13 @@ def lane(label: str) -> LaneId:
 def make_view(counts, phase_index: int = 0, *, queues=None, waiting_steps=None,
               occupancy=None) -> StepView:
     """A hand-built step view; ``occupancy`` maps cells_per_lane to a vector."""
-    counts = np.array(counts)
-    zeros = np.zeros_like(counts)
+    counts = tuple(counts)
+    zeros = (0,) * len(counts)
     return StepView(
         phase_index=phase_index,
         counts=counts,
-        queues=zeros if queues is None else np.array(queues),
-        waiting_steps=zeros if waiting_steps is None else np.array(waiting_steps),
+        queues=zeros if queues is None else tuple(queues),
+        waiting_steps=zeros if waiting_steps is None else tuple(waiting_steps),
         green_mask=np.zeros(len(counts), dtype=bool),
         reward=0.0,
         departures=[],

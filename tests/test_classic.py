@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenlight.classic import (
     FixedTimeController,
@@ -28,7 +30,7 @@ from greenlight.core import (
     single_intersection_network,
 )
 from greenlight.demand import ArrivalProcess, generate_uniform
-from greenlight.sim import CHANGE, KEEP, BaseController, run_episode
+from greenlight.sim import CHANGE, KEEP, BaseController, StepView, run_episode
 
 
 def lane(label: str) -> LaneId:
@@ -222,6 +224,45 @@ def test_sotl_controller_switches_under_red_pressure():
     assert len(result.travel_logs[0].delays()) > 0
 
 
+@pytest.mark.parametrize("thresholds", [{"theta_red": -1.0}, {"theta_green": -0.5}])
+def test_sotl_controller_rejects_negative_thresholds_up_front(thresholds):
+    with pytest.raises(ConfigError, match="sotl: thresholds must be >= 0"):
+        SotlController(build_standard_intersection(2), **thresholds)
+
+
+@st.composite
+def sotl_situations(draw):
+    """An intersection, a green-phase view of drawn queues, and thresholds."""
+    cfg = build_standard_intersection(draw(st.sampled_from([2, 4])),
+                                      min_green_s=draw(st.integers(1, 8)))
+    phase = draw(st.integers(0, cfg.phase_count - 1))
+    # at most two loaded lanes, so a single lane's queue often decides alone
+    loaded = draw(st.dictionaries(st.integers(0, cfg.lane_count - 1), st.integers(1, 8),
+                                  max_size=2))
+    queues = tuple(loaded.get(j, 0) for j in range(cfg.lane_count))
+    green = cfg.green_lane_indices(phase)
+    view = StepView(
+        phase_index=phase, counts=queues, queues=queues, waiting_steps=(0,) * cfg.lane_count,
+        green_mask=np.array([j in green for j in range(cfg.lane_count)]), reward=0.0,
+        departures=[], clock_s=0, elapsed_green_s=draw(st.integers(0, 12)),
+        in_transition=False, min_green_met=False, occupancy=lambda cells: np.zeros(0),
+    )
+    thresholds = draw(st.tuples(st.sampled_from([0.0, 1.0, 2.5, 4.0]),
+                                st.sampled_from([0.0, 1.0, 2.0, 5.5])))
+    return cfg, view, thresholds
+
+
+@settings(max_examples=200, deadline=None)
+@given(sotl_situations())
+def test_sotl_lane_indices_decide_as_the_green_mask_did(situation):
+    cfg, view, (theta_red, theta_green) = situation
+    ctrl = SotlController(cfg, theta_red=theta_red, theta_green=theta_green)
+    queues, mask = np.array(view.queues), view.green_mask
+    expected = sotl_decide(queues[mask].tolist(), queues[~mask].tolist(), view.elapsed_green_s,
+                           theta_red, theta_green, cfg.min_green_s)
+    assert ctrl.decide(view) == expected
+
+
 def test_webster_controller_warmup_then_replan():
     cfg = build_standard_intersection(2)
     net = single_intersection_network(cfg)
@@ -255,7 +296,7 @@ class _MeasureRecorder(BaseController):
 
     def after_step(self, view):
         self.inner.after_step(view)
-        self.counts.append(view.counts.copy())
+        self.counts.append(view.counts)  # a tuple: nothing can change it
         self.masks.append(view.green_mask.copy())
 
 

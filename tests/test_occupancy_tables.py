@@ -18,7 +18,7 @@ def numpy_occupancy(self, cells_per_lane: int) -> np.ndarray:
         raise ConfigError("occupancy_cells: cells_per_lane must be >= 1")
     cfg = self.config
     view = self.control_context()
-    counts = view.counts
+    counts = np.array(view.counts)
     # every vehicle on a lane, in stop-line order; the first q_j are queued
     lane = np.arange(cfg.lane_count).repeat(counts)
     rank = np.arange(len(lane)) - (counts.cumsum() - counts)[lane]
@@ -27,7 +27,7 @@ def numpy_occupancy(self, cells_per_lane: int) -> np.ndarray:
                         dtype=np.int64, count=len(lane))
     since_entry = self.state.clock_s - (ready - self._ff_steps)
     position = np.where(
-        rank < view.queues[lane],
+        rank < np.array(view.queues)[lane],
         cfg.road_length_m - rank * VEHICLE_SPACING_M,
         np.minimum(cfg.free_flow_speed_mps * since_entry, cfg.road_length_m),
     )

@@ -92,8 +92,8 @@ def test_free_flow_vehicle_counts_but_does_not_queue():
     sim = make_sim()
     sim.schedule_arrival(0, lane("WT"), 0.0)
     out = sim.step(KEEP)
-    assert out.counts.tolist() == [1, 0, 0, 0]
-    assert out.queues.tolist() == [0, 0, 0, 0]
+    assert out.counts == (1, 0, 0, 0)
+    assert out.queues == (0, 0, 0, 0)
     assert out.reward == 0.0
     assert out.stopped_fraction.tolist() == [0.0, 0.0, 0.0, 0.0]
 
@@ -270,8 +270,11 @@ def test_one_read_only_view_per_step_clocked_by_steps_run():
         # the next decide reads the view the step returned, so neither may change it
         assert sim.control_context() is view
         assert view.clock_s == steps
-    for array in (view.queues, view.counts, view.waiting_steps,
-                  view.stopped_fraction, view.green_mask):
+    for measure in (view.queues, view.counts, view.waiting_steps):
+        assert type(measure) is tuple
+        with pytest.raises(TypeError):
+            measure[2] = 0
+    for array in (view.stopped_fraction, view.green_mask):
         with pytest.raises(ValueError):
             array[2] = 0
 

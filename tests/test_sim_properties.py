@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlight.classic import SotlController
-from greenlight.core import build_standard_intersection
-from greenlight.sim import CHANGE, KEEP, IntersectionSim
+from greenlight.core import Vehicle, build_grid_network, build_standard_intersection
+from greenlight.demand import straight_route
+from greenlight.sim import CHANGE, KEEP, BaseController, IntersectionSim, run_episode
 
 HEADWAYS = [1 / 3, 0.5, 0.7, 2.0, 2.2, 10.0]
 
@@ -144,11 +145,11 @@ def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells, 
         all_red.append(not out.green_mask.any())
         reward_sum += out.reward
         log = sim.log
-        assert log.entered_count() == len(log.delays()) + int(out.counts.sum())
+        assert log.entered_count() == len(log.delays()) + sum(out.counts)
         queues, counts, waiting = measures_reference(cfg, log, lane_of, t + 1)
-        assert out.queues.tolist() == queues
-        assert out.counts.tolist() == counts
-        assert out.waiting_steps.tolist() == waiting
+        assert out.queues == tuple(queues)
+        assert out.counts == tuple(counts)
+        assert out.waiting_steps == tuple(waiting)
         assert out.stopped_fraction.tolist() == [q / max(v, 1)
                                                  for q, v in zip(queues, counts)]
         assert out.reward == -sum(queues)
@@ -166,3 +167,60 @@ def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells, 
     logged = {vid: rec.depart_s for vid, rec in sim.log.records.items()
               if rec.depart_s is not None}
     assert logged == replayed
+
+
+class _ViewRecorder(BaseController):
+    """Plays a fixed keep/change sequence and keeps every view it is handed."""
+
+    def __init__(self, actions):
+        self.actions = actions
+        self.decided = []
+        self.after = []
+
+    def decide(self, view):
+        self.decided.append(view)
+        return self.actions[len(self.decided) - 1]
+
+    def after_step(self, view):
+        self.after.append(view)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_episode_traces_hold_every_view_run_episode_handed_out(data):
+    rows, cols = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    network = build_grid_network(rows, cols, build_standard_intersection(
+        data.draw(st.sampled_from([2, 4])),
+        saturation_headway_s=data.draw(st.sampled_from(HEADWAYS)),
+        min_green_s=data.draw(st.integers(1, 8)),
+        road_length_m=data.draw(st.sampled_from([60.0, 100.0])),
+    ))
+    horizon = data.draw(st.integers(1, 90))
+    lanes = [lane for cfg in network.intersections for lane in cfg.lanes]
+    arrivals = data.draw(st.lists(
+        st.tuples(st.sampled_from(lanes), st.floats(0.0, horizon, allow_nan=False)),
+        max_size=80,
+    ))
+    demand = [Vehicle(vid, entry, straight_route(network, lane))
+              for vid, (lane, entry) in enumerate(arrivals)]
+    controllers = [
+        _ViewRecorder(data.draw(st.lists(st.sampled_from([KEEP, CHANGE]),
+                                         min_size=horizon, max_size=horizon)))
+        for _ in network.intersections
+    ]
+    result = run_episode(network, controllers, demand, horizon)
+
+    for i, (cfg, ctrl) in enumerate(zip(network.intersections, controllers)):
+        rewards, phases, queues = (result.reward_traces[i], result.phase_traces[i],
+                                   result.queue_traces[i])
+        assert (rewards.dtype, phases.dtype, queues.dtype) == (np.float64, np.int64, np.int64)
+        assert rewards.shape == phases.shape == (horizon,)
+        assert queues.shape == (horizon, cfg.lane_count)
+        # each step's view reaches after_step, then the next step's decide
+        assert len(ctrl.after) == horizon
+        assert all(a is d for a, d in zip(ctrl.after, ctrl.decided[1:]))
+        for t, view in enumerate(ctrl.after):
+            assert view.clock_s == t + 1
+            assert rewards[t] == view.reward
+            assert phases[t] == view.phase_index
+            assert tuple(queues[t]) == view.queues
