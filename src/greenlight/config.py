@@ -37,6 +37,7 @@ from .core import (
 )
 from .classic import WebsterParams
 from . import demand as demand_mod
+from .sim import validate_demand
 
 CONTROLLER_KINDS = ("fixedtime", "sotl", "webster", "rl")
 DEMAND_KINDS = ("uniform", "peaked", "file")
@@ -261,17 +262,26 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if section.kind == "peaked":
             demand_mod.peak_spans(section.peak_windows, run.horizon_s,
                                   key=f"{key}.peak_windows")
-    # lane labels name lanes of the built network, so build it only for them
+    # lane labels and demand files name lanes of the built network, so build it only for them
     labelled = [(key, section) for key, section in demands
                 if (section.kind == "uniform" and isinstance(section.rate_vph, dict))
                 or (section.kind == "peaked" and section.peak_lanes is not None)]
+    files = [(key, section) for key, section in demands if section.kind == "file"]
+    network = _network_of(net) if labelled or files else None
     if labelled:
-        entry_lanes = _entry_lanes(_network_of(net))
+        entry_lanes = _entry_lanes(network)
         for key, section in labelled:
             if section.kind == "peaked":
                 _peak_lanes(section.peak_lanes, entry_lanes, key)
             else:
                 _mapped_rates(section.rate_vph, entry_lanes, key)
+    for key, section in files:
+        try:
+            validate_demand(network, demand_mod.load_demand_csv(section.path, network))
+        except OSError as exc:
+            raise ConfigError(f"{key}.path: cannot read {section.path}: {exc.strerror}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"{key}.path: {exc}") from None
     if ctrl.kind not in CONTROLLER_KINDS:
         raise ConfigError(f"controller.kind: {ctrl.kind!r} not in {CONTROLLER_KINDS}")
     if run.horizon_s < 1:

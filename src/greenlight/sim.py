@@ -8,7 +8,7 @@ exact rational value.  Every step is one second:
 
     (a) phase logic       apply the keep/change action, run yellow+all-red
     (b) arrivals          due vehicles enter the free-flow segment
-    (c) queue join        vehicles whose free-flow time has elapsed queue up
+    (c) queue join        the vehicles that entered one free-flow time ago queue up
     (d) discharge         green lanes release head-of-queue vehicles
     (e) reward            R = -sum of queue lengths, post-movement
     (f) clock advance
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import math
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -61,7 +60,7 @@ class StepView:
     phase_index: int              # active phase; the outgoing one mid-transition
     counts: tuple[int, ...]       # v_j, all vehicles on the lane, ordered by lane index
     queues: tuple[int, ...]       # q_j, vehicles stopped at the line
-    waiting_steps: tuple[int, ...]  # summed waiting-so-far of queued vehicles
+    ready_sums: tuple[int, ...]   # summed stop-line arrival steps of queued vehicles
     green_mask: np.ndarray        # c_j of the step just run, and of the next if it keeps;
                                   # the simulator's shared read-only array
     reward: float                 # -sum(q_j), always <= 0; 0.0 before the first step
@@ -78,6 +77,13 @@ class StepView:
         computed on first read, since only the ``delay`` reward, alone or
         weighted, reads it."""
         return _read_only(np.array(self.queues) / np.maximum(self.counts, 1))
+
+    @cached_property
+    def waiting_steps(self) -> tuple[int, ...]:
+        """Summed waiting-so-far of each lane's queued vehicles, computed on
+        first read: only the ``waiting`` reward or state reads it.  A vehicle
+        queued since step r has waited through steps r .. clock_s - 1."""
+        return tuple([self.clock_s * q - s for q, s in zip(self.queues, self.ready_sums)])
 
 
 @dataclass
@@ -149,8 +155,7 @@ class _LaneState:
     ready_steps: list[int] = field(default_factory=list)
     departed: int = 0
     ready: int = 0
-    ready_sum: int = 0  # sum of ready steps over queued vehicles, for O(1) waiting
-    credit: int = 0     # discharge credit in ticks of the rational headway
+    credit: int = 0     # discharge credit in ticks of the rational headway, while green
 
 
 @dataclass
@@ -237,14 +242,17 @@ class IntersectionSim:
         # which is max(1, 1/h) vehicles.
         self._tick_cost, self._tick_gain = float(config.saturation_headway_s).as_integer_ratio()
         self._tick_cap = max(self._tick_cost, self._tick_gain)
-        self._green_lanes = [frozenset(config.green_lane_indices(k))
-                             for k in range(config.phase_count)]
+        self._green_lanes = [config.green_lane_indices(k) for k in range(config.phase_count)]
         self._green_masks = [_read_only(np.array([j in green for j in range(config.lane_count)]))
                              for green in self._green_lanes]
         self._red_mask = _read_only(np.zeros(config.lane_count, dtype=bool))
         self._cell_tables: dict[int, _CellTables] = {}  # cells_per_lane -> tables
         self.log = TravelLog(config.road_length_m, config.free_flow_speed_mps)
+        # (vehicle id, lane index) lists keyed by entry step, then by stop-line step
         self._arrivals: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        self._joins: dict[int, list[tuple[int, int]]] = {}
+        # per-lane measures, updated at entries, joins and departures only
+        self._counts, self._queues, self._ready_sums = ([0] * config.lane_count for _ in range(3))
         self.state = SimState(
             clock_s=0,
             lanes=[_LaneState() for _ in config.lanes],
@@ -272,21 +280,13 @@ class IntersectionSim:
     # -- step view -----------------------------------------------------------
 
     def _build_view(self, green_mask: np.ndarray, departures: list[int]) -> StepView:
-        """The view of the current state; each lane measure is one tuple of
-        Python ints, built by one pass over the lanes."""
+        """The view of the current state: a tuple snapshot of each lane measure."""
         st = self.state
-        lanes = st.lanes
-        now = st.clock_s
-        queues = tuple([l.ready - l.departed for l in lanes])
+        queues = tuple(self._queues)
         return StepView(
-            st.current_phase_index,
-            tuple([len(l.ready_steps) - l.departed for l in lanes]),
-            queues,
-            # a vehicle queued since step r has waited through steps r .. now - 1
-            tuple([now * q - l.ready_sum for q, l in zip(queues, lanes)]),
-            green_mask,
-            float(-sum(queues)),  # int negation avoids -0.0
-            departures, now, st.green_elapsed_s, st.transition_countdown_s > 0,
+            st.current_phase_index, tuple(self._counts), queues, tuple(self._ready_sums),
+            green_mask, float(-sum(queues)),  # int negation avoids -0.0
+            departures, st.clock_s, st.green_elapsed_s, st.transition_countdown_s > 0,
             st.green_elapsed_s >= self.config.min_green_s, self.occupancy_vector,
         )
 
@@ -333,8 +333,7 @@ class IntersectionSim:
         """Advance the world by one second under the given keep/change action."""
         if action not in (KEEP, CHANGE):
             raise SimulationError(f"action must be 0 or 1, got {action!r}")
-        cfg = self.config
-        st = self.state
+        cfg, st = self.config, self.state
         t = st.clock_s
 
         # (a) phase logic
@@ -361,47 +360,51 @@ class IntersectionSim:
                 log.debug("t=%d: change request ignored before min green", t)
 
         green_now = st.transition_countdown_s == 0
-        green_lanes = self._green_lanes[st.current_phase_index] if green_now else frozenset()
+        green = self._green_lanes[st.current_phase_index] if green_now else ()
+        lanes, counts, queues, ready_sums = st.lanes, self._counts, self._queues, self._ready_sums
 
-        # (b) arrivals
-        ready = t + self._ff_steps
-        for vid, lane_idx in self._arrivals.pop(t, ()):  # insertion order = load order
-            lane = st.lanes[lane_idx]
-            lane.vehicle_ids.append(vid)
-            lane.ready_steps.append(ready)
-            self.log.record_entry(vid, t, ready)
+        # (b) arrivals, kept to join the queue at their stop-line step
+        if arrivals := self._arrivals.pop(t, None):
+            ready = t + self._ff_steps
+            for vid, j in arrivals:  # insertion order = load order
+                lanes[j].vehicle_ids.append(vid)
+                lanes[j].ready_steps.append(ready)
+                counts[j] += 1
+                self.log.record_entry(vid, t, ready)
+            self._joins[ready] = arrivals
 
+        # (c) queue join: entry order is stop-line order on every lane
+        for _, j in self._joins.pop(t, ()):
+            lanes[j].ready += 1
+            queues[j] += 1
+            ready_sums[j] += t
+
+        # (d) discharge on green lanes; one not green in the last step starts at 0 credit
+        mask = self._green_masks[st.current_phase_index] if green_now else self._red_mask
+        last = self._view.green_mask  # that of the last step, or phase 0's before the first
         departures: list[int] = []
         cost, gain, cap = self._tick_cost, self._tick_gain, self._tick_cap
-        for j, lane in enumerate(st.lanes):
-            # (c) queue join: free-flow time elapsed, move to the stop line
-            ready_steps = lane.ready_steps
-            at_line = lane.ready
-            while at_line < len(ready_steps) and ready_steps[at_line] <= t:
-                lane.ready_sum += ready_steps[at_line]
-                at_line += 1
-            lane.ready = at_line
-            # (d) discharge
-            if j not in green_lanes:
-                lane.credit = 0
-                continue
-            credit = min(lane.credit + gain, cap)
-            head = lane.departed
-            while credit >= cost and head < at_line:
-                vid = lane.vehicle_ids[head]
-                lane.ready_sum -= ready_steps[head]
-                self.log.record_departure(vid, t)
-                departures.append(vid)
-                head += 1
-                credit -= cost
-            lane.departed = head
+        for j in green:
+            lane = lanes[j]
+            credit = gain if mask is not last and not last[j] else min(lane.credit + gain, cap)
+            if queues[j] and credit >= cost:
+                head, at_line = lane.departed, lane.ready
+                while credit >= cost and head < at_line:
+                    vid = lane.vehicle_ids[head]
+                    ready_sums[j] -= lane.ready_steps[head]
+                    self.log.record_departure(vid, t)
+                    departures.append(vid)
+                    head += 1
+                    credit -= cost
+                queues[j] -= head - lane.departed
+                counts[j] -= head - lane.departed
+                lane.departed = head
             lane.credit = credit
 
         # (f) clock, then (e) reward and the view, post-movement
         st.clock_s = t + 1
         if green_now:
             st.green_elapsed_s += 1
-        mask = self._green_masks[st.current_phase_index] if green_now else self._red_mask
         self._view = self._build_view(mask, departures)
         return self._view
 
@@ -467,9 +470,9 @@ def run_episode(
 
     Vehicles departing an intersection re-enter the next intersection of
     their route after the network link travel time.  Each step's reward,
-    phase and queue row go into flat buffers, turned into the trace arrays
-    once, at the end.  Fully deterministic for a given (network,
-    controllers, demand, seed).
+    phase and queue row are written into trace arrays sized for the horizon
+    up front.  Fully deterministic for a given (network, controllers,
+    demand, seed).
     """
     if horizon_s <= 0:
         raise ConfigError("horizon: horizon_s must be positive")
@@ -498,18 +501,18 @@ def run_episode(
         first = veh.route[0]
         sims[first.intersection].schedule_arrival(veh.id, first, veh.entry_time_s)
 
-    rewards = [array("d") for _ in range(n)]
-    phases = [array("q") for _ in range(n)]
-    queues = [array("q") for _ in range(n)]
+    rewards = [np.empty(horizon_s) for _ in range(n)]
+    phases = [np.empty(horizon_s, dtype=np.int64) for _ in range(n)]
+    queues = [np.empty((horizon_s, c.lane_count), dtype=np.int64) for c in network.intersections]
     network_departures = 0
 
     for t in range(horizon_s):
         for i, sim in enumerate(sims):
             view = sim.step(controllers[i].decide(sim.control_context()))
             controllers[i].after_step(view)
-            rewards[i].append(view.reward)
-            phases[i].append(view.phase_index)
-            queues[i].extend(view.queues)
+            rewards[i][t] = view.reward
+            phases[i][t] = view.phase_index
+            queues[i][t] = view.queues
             for vid in view.departures:
                 pos = route_pos[vid] + 1
                 route_pos[vid] = pos
@@ -524,10 +527,7 @@ def run_episode(
 
     return EpisodeResult(
         travel_logs=[sim.log for sim in sims],
-        reward_traces=[np.frombuffer(r, dtype=np.float64) for r in rewards],
-        queue_traces=[np.frombuffer(q, dtype=np.int64).reshape(horizon_s, cfg.lane_count)
-                      for q, cfg in zip(queues, network.intersections)],
-        phase_traces=[np.frombuffer(p, dtype=np.int64) for p in phases],
+        reward_traces=rewards, queue_traces=queues, phase_traces=phases,
         horizon_s=horizon_s,
         seed=seed,
         network_departures=network_departures,

@@ -38,24 +38,29 @@ def lane(label: str) -> LaneId:
 
 
 def make_view(counts, phase_index: int = 0, *, queues=None, waiting_steps=None,
-              occupancy=None) -> StepView:
-    """A hand-built step view; ``occupancy`` maps cells_per_lane to a vector."""
+              clock_s: int = 0, occupancy=None) -> StepView:
+    """A hand-built step view; ``occupancy`` maps cells_per_lane to a vector.
+    The ready sums are those that give ``waiting_steps`` at ``clock_s``."""
     counts = tuple(counts)
     zeros = (0,) * len(counts)
-    return StepView(
+    queues = zeros if queues is None else tuple(queues)
+    waiting = zeros if waiting_steps is None else tuple(waiting_steps)
+    view = StepView(
         phase_index=phase_index,
         counts=counts,
-        queues=zeros if queues is None else tuple(queues),
-        waiting_steps=zeros if waiting_steps is None else tuple(waiting_steps),
+        queues=queues,
+        ready_sums=tuple(clock_s * q - w for q, w in zip(queues, waiting)),
         green_mask=np.zeros(len(counts), dtype=bool),
         reward=0.0,
         departures=[],
-        clock_s=0,
+        clock_s=clock_s,
         elapsed_green_s=0,
         in_transition=False,
         min_green_met=False,
         occupancy=(occupancy or {}).__getitem__,
     )
+    assert view.waiting_steps == waiting
+    return view
 
 
 def encoder(mode: StateMode, occupancy_cells: int = 4) -> DQNAgent:
@@ -133,7 +138,7 @@ def test_encode_occupancy_modes_layout():
 
 
 def test_encode_waiting_phase():
-    view = make_view([9, 9, 9, 9], waiting_steps=[7, 3, 0, 1])
+    view = make_view([9, 9, 9, 9], queues=[2, 1, 0, 1], waiting_steps=[7, 3, 0, 1], clock_s=10)
     vec = encoder(StateMode.WAITING_PHASE).encode(view)
     assert vec.tolist() == [7.0, 3.0, 0.0, 1.0, 1.0, 0.0]
 
@@ -142,7 +147,7 @@ def test_encode_waiting_phase():
 
 
 def test_reward_modes_on_view():
-    m = make_view([3, 1], queues=[2, 0], waiting_steps=[4, 0])
+    m = make_view([3, 1], queues=[2, 0], waiting_steps=[4, 0], clock_s=3)
     assert compute_reward(m, RewardMode.QUEUE) == -2.0
     assert compute_reward(m, RewardMode.DELAY) == pytest.approx(-2.0 / 3.0)
     assert compute_reward(m, RewardMode.WAITING) == -4.0

@@ -66,3 +66,25 @@ def test_report_records_the_conditions_of_the_runs(tmp_path, monkeypatch):
         "cpu_count": os.cpu_count(), "PYTHONDONTWRITEBYTECODE": "1"}
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert bench_pairs.conditions()["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def test_workloads_option_runs_only_the_named_ones_and_refuses_unknown(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "load_benchmark", lambda checkout: {
+        "command": ["python3", "perfbench/run.py"], "run_seconds": 1,
+        "workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}], "end_to_end": METRICS})
+    ran = []
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, *args: ran.append(workload) or run(100, 0.1))
+    out = tmp_path / "bench.json"
+    argv = ["--parent", ".", "--change", ".", "--pairs", "10", "--seed", "1", "--out", str(out)]
+    assert bench_pairs.main(argv + ["--workloads", "c", "a"]) == 0
+    assert set(ran) == {"a", "c"} and len(ran) == 2 * 10 * 2
+    assert list(json.loads(out.read_text())["workloads"]) == ["a", "c"]
+
+    ran.clear()
+    assert bench_pairs.main(argv) == 0
+    assert set(ran) == {"a", "b", "c"}
+
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv + ["--workloads", "a", "nope"])
+    assert exc.value.code == 2

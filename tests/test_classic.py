@@ -242,7 +242,7 @@ def sotl_situations(draw):
     queues = tuple(loaded.get(j, 0) for j in range(cfg.lane_count))
     green = cfg.green_lane_indices(phase)
     view = StepView(
-        phase_index=phase, counts=queues, queues=queues, waiting_steps=(0,) * cfg.lane_count,
+        phase_index=phase, counts=queues, queues=queues, ready_sums=(0,) * cfg.lane_count,
         green_mask=np.array([j in green for j in range(cfg.lane_count)]), reward=0.0,
         departures=[], clock_s=0, elapsed_green_s=draw(st.integers(0, 12)),
         in_transition=False, min_green_met=False, occupancy=lambda cells: np.zeros(0),

@@ -291,6 +291,69 @@ def test_validate_config_bad_peaked_demand_exits_1(tmp_path, capsys, section, te
     assert "config error" in captured.err and f"{section}.{key}" in captured.err
 
 
+def unroutable_demand_file(tmp_path):
+    """A 1x3 grid demand file whose one route skips from 0:WT to 2:WT."""
+    path = tmp_path / "demand.csv"
+    path.write_text("vehicle_id,entry_time_s,intersection,approach,movement\n"
+                    "0,1.0,0,W,T,2,W,T\n")
+    return path
+
+
+def file_demand_config(tmp_path, section, demand_path, controller="fixedtime"):
+    return write_yaml(tmp_path, f"""\
+        network:
+          kind: grid
+          rows: 1
+          cols: 3
+        controller:
+          kind: {controller}
+        run:
+          horizon_s: 60
+          episodes: 1
+          seeds: [0]
+          out_dir: {tmp_path}/out
+        train:
+          episodes: 1
+        {section}:
+          kind: file
+          path: {demand_path}
+    """)
+
+
+@pytest.mark.parametrize("section", ["demand", "deploy_demand"])
+@pytest.mark.parametrize("problem", ["missing", "unroutable"])
+def test_validate_config_bad_demand_file_exits_1(tmp_path, capsys, section, problem):
+    demand_path = (tmp_path / "absent.csv" if problem == "missing"
+                   else unroutable_demand_file(tmp_path))
+    path = file_demand_config(tmp_path, section, demand_path)
+    assert cli.main(["validate-config", "--config", path]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert "config error" in captured.err and f"{section}.path" in captured.err
+    assert ("cannot read" if problem == "missing" else "demand_route") in captured.err
+
+
+def test_validate_config_accepts_a_routable_demand_file(tmp_path, capsys):
+    demand_path = tmp_path / "demand.csv"
+    demand_path.write_text("vehicle_id,entry_time_s,intersection,approach,movement\n"
+                           "0,1.0,0,W,T,1,W,T,2,W,T\n")
+    path = file_demand_config(tmp_path, "demand", demand_path)
+    assert cli.main(["validate-config", "--config", path]) == cli.EXIT_OK
+    assert "1x3 grid" in capsys.readouterr().out
+
+
+def test_rl_run_with_unroutable_deploy_demand_fails_before_training(tmp_path, capsys,
+                                                                     monkeypatch):
+    trained = []
+    monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(args))
+    path = file_demand_config(tmp_path, "deploy_demand", unroutable_demand_file(tmp_path),
+                              controller="rl")
+    assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
+    assert "deploy_demand.path: demand_route" in capsys.readouterr().err
+    assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_show_defaults_round_trips_through_parser(capsys):
     assert cli.main(["show-defaults"]) == cli.EXIT_OK
     doc = yaml.safe_load(capsys.readouterr().out)

@@ -9,8 +9,10 @@ import pytest
 from greenlight.core import (
     Approach,
     ConfigError,
+    IntersectionConfig,
     LaneId,
     Movement,
+    PhaseDefinition,
     Vehicle,
     build_grid_network,
     build_standard_intersection,
@@ -145,6 +147,27 @@ def test_credit_resets_on_red():
     rec = result.travel_logs[0].records[0]
     assert (rec.entry_s, rec.ready_s, rec.depart_s) == (0, 30, 41)
     assert result.reward_traces[0].sum() == -11.0
+
+
+def test_shared_lane_keeps_credit_across_a_switch_with_no_transition():
+    # WT is green in both phases and yellow = all-red = 0, so the switch at
+    # t = 5 leaves it green: at headway 10 it earns its vehicle's credit over
+    # t = 0 .. 9.  NT turns green at the switch and starts from zero.
+    wt, et, nt = lane("WT"), lane("ET"), lane("NT")
+    cfg = IntersectionConfig(
+        lanes=(wt, et, nt),
+        phases=(PhaseDefinition(frozenset({wt, et})), PhaseDefinition(frozenset({wt, nt}))),
+        road_length_m=10.0,  # at the stop line one step after entry
+        saturation_headway_s=10.0, yellow_s=0, all_red_s=0, min_green_s=1,
+    )
+    sim = IntersectionSim(cfg)
+    sim.schedule_arrival(0, wt, 0.0)
+    sim.schedule_arrival(1, nt, 0.0)
+    departs = {}
+    for t in range(20):
+        for vid in sim.step(CHANGE if t == 5 else KEEP).departures:
+            departs[vid] = t
+    assert departs == {0: 9, 1: 14}
 
 
 def test_headway_one_discharges_every_green_second():

@@ -8,26 +8,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlight.classic import SotlController
-from greenlight.core import Vehicle, build_grid_network, build_standard_intersection
+from greenlight.core import (
+    Approach,
+    IntersectionConfig,
+    LaneId,
+    Movement,
+    PhaseDefinition,
+    Vehicle,
+    build_grid_network,
+    build_standard_intersection,
+)
 from greenlight.demand import straight_route
 from greenlight.sim import CHANGE, KEEP, BaseController, IntersectionSim, run_episode
 
 HEADWAYS = [1 / 3, 0.5, 0.7, 2.0, 2.2, 10.0]
+LANE_IDS = [LaneId(0, a, m) for a in Approach for m in Movement]
 
 
 @st.composite
-def scenarios(draw):
-    """A random intersection, demand and keep/change action sequence."""
-    cfg = build_standard_intersection(
-        draw(st.sampled_from([2, 4])),
+def overlapping_intersection(draw, **timing):
+    """2 to 6 lanes in 2 to 4 phases, each phase sharing a drawn lane with
+    the next (cyclically), so a lane can stay green across a phase switch."""
+    lanes = tuple(draw(st.permutations(LANE_IDS))[:draw(st.integers(2, 6))])
+    phase_count = draw(st.integers(2, 4))
+    phases = [draw(st.sets(st.sampled_from(range(len(lanes))), min_size=1))
+              for _ in range(phase_count)]
+    for k in range(phase_count):
+        shared = draw(st.sampled_from(range(len(lanes))))
+        phases[k].add(shared)
+        phases[(k + 1) % phase_count].add(shared)
+    for j in range(len(lanes)):  # every lane must be green in some phase
+        phases[j % phase_count].add(j)
+    return IntersectionConfig(
+        lanes=lanes,
+        phases=tuple(PhaseDefinition(frozenset(lanes[j] for j in p)) for p in phases),
+        **timing,
+    )
+
+
+@st.composite
+def scenarios(draw, min_horizon=1, overlapping=None):
+    """A random intersection, demand and keep/change action sequence.  The
+    intersection is a standard one, whose phases share no lane, or (always
+    when ``overlapping``, else half the time) one with overlapping phases.
+    Half the intersections switch with no yellow or all-red step, so a lane
+    shared by consecutive phases keeps its discharge credit."""
+    no_transition = draw(st.booleans())
+    timing = dict(
         saturation_headway_s=draw(st.sampled_from(HEADWAYS)),
-        yellow_s=draw(st.integers(0, 3)),
-        all_red_s=draw(st.integers(0, 2)),
+        yellow_s=0 if no_transition else draw(st.integers(0, 3)),
+        all_red_s=0 if no_transition else draw(st.integers(0, 2)),
         min_green_s=draw(st.integers(1, 8)),
         road_length_m=draw(st.sampled_from([100.0, 180.0, 300.0])),
         free_flow_speed_mps=draw(st.sampled_from([7.0, 10.0, 13.3])),
     )
-    horizon = draw(st.integers(1, 160))
+    if overlapping or (overlapping is None and draw(st.booleans())):
+        cfg = draw(overlapping_intersection(**timing))
+    else:
+        cfg = build_standard_intersection(draw(st.sampled_from([2, 4])), **timing)
+    horizon = draw(st.integers(min_horizon, 160))
     busy_lanes = draw(st.integers(1, cfg.lane_count))  # few busy lanes build long queues
     arrivals = draw(st.lists(
         st.tuples(st.integers(0, busy_lanes - 1), st.floats(0.0, horizon, allow_nan=False)),
@@ -72,6 +111,27 @@ def replay_departures(cfg, phase_trace, red, ready_by_lane):
                 head += 1
                 credit -= 1
     return departs
+
+
+def schedule(sim, cfg, arrivals):
+    """Schedule the drawn (lane index, entry time) arrivals; vehicle id -> lane index."""
+    for vid, (j, entry) in enumerate(arrivals):
+        sim.schedule_arrival(vid, cfg.lanes[j], entry)
+    return {vid: j for vid, (j, _) in enumerate(arrivals)}
+
+
+def assert_departures_match_replay(cfg, sim, lane_of, phases, all_red):
+    """The logged departure steps equal the exact replay of the phase trace,
+    whose yellow/all-red steps are those the views showed with no green."""
+    ready_by_lane = [[] for _ in cfg.lanes]
+    for vid, rec in sim.log.records.items():
+        ready_by_lane[lane_of[vid]].append((vid, rec.ready_s))
+    red = red_steps(cfg.transition_time_s, phases, sim.state.transition_countdown_s)
+    assert red == all_red
+    replayed = replay_departures(cfg, phases, red, ready_by_lane)
+    logged = {vid: rec.depart_s for vid, rec in sim.log.records.items()
+              if rec.depart_s is not None}
+    assert logged == replayed
 
 
 def sotl_reference(cfg, view, theta_red, theta_green):
@@ -127,10 +187,7 @@ def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells, 
     cfg, arrivals, actions = scenario
     sim = IntersectionSim(cfg)
     sotl = SotlController(cfg, theta_red=theta_red, theta_green=theta_green)
-    lane_of = {}
-    for vid, (j, entry) in enumerate(arrivals):
-        sim.schedule_arrival(vid, cfg.lanes[j], entry)
-        lane_of[vid] = j
+    lane_of = schedule(sim, cfg, arrivals)
 
     phases, all_red, reward_sum = [], [], 0.0
     for t, action in enumerate(actions):
@@ -158,15 +215,41 @@ def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells, 
         expected = occupancy_reference(cfg, log, lane_of, t + 1, cells)
         assert np.array_equal(sim.occupancy_vector(cells), expected)
 
-    ready_by_lane = [[] for _ in cfg.lanes]
-    for vid, rec in sim.log.records.items():
-        ready_by_lane[lane_of[vid]].append((vid, rec.ready_s))
-    red = red_steps(cfg.transition_time_s, phases, sim.state.transition_countdown_s)
-    assert red == all_red
-    replayed = replay_departures(cfg, phases, red, ready_by_lane)
-    logged = {vid: rec.depart_s for vid, rec in sim.log.records.items()
-              if rec.depart_s is not None}
-    assert logged == replayed
+    assert_departures_match_replay(cfg, sim, lane_of, phases, all_red)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios(overlapping=True))
+def test_lanes_shared_by_consecutive_phases_discharge_as_in_exact_replay(scenario):
+    """A lane green in consecutive steps keeps its credit across a phase
+    switch, and one that was red starts from zero."""
+    cfg, arrivals, actions = scenario
+    sim = IntersectionSim(cfg)
+    lane_of = schedule(sim, cfg, arrivals)
+    phases, all_red = [], []
+    for action in actions:
+        out = sim.step(action)
+        phases.append(out.phase_index)
+        all_red.append(not out.green_mask.any())
+    assert_departures_match_replay(cfg, sim, lane_of, phases, all_red)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(min_horizon=11))
+def test_kept_views_report_their_own_step(scenario):
+    """A view first read 10 or more steps after its own still reports that
+    step's queues, counts and waiting steps, the lazy waiting included."""
+    cfg, arrivals, actions = scenario
+    sim = IntersectionSim(cfg)
+    lane_of = schedule(sim, cfg, arrivals)
+    views, expected = [], []
+    for t, action in enumerate(actions):
+        views.append(sim.step(action))
+        expected.append(measures_reference(cfg, sim.log, lane_of, t + 1))
+    for view, (queues, counts, waiting) in zip(views[:-10], expected):
+        assert view.waiting_steps == tuple(waiting)
+        assert view.queues == tuple(queues)
+        assert view.counts == tuple(counts)
 
 
 class _ViewRecorder(BaseController):

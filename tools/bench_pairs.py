@@ -9,7 +9,9 @@ Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
 parent first in even pairs and the change first in odd ones; pairs cycle
 through the workloads, so drift on a shared host reaches every workload and
 both sides alike.  The workloads, the end-to-end metrics with their better
-direction, and the run length come from the change's ``BENCHMARK.json``.
+direction, and the run length come from the change's ``BENCHMARK.json``;
+``--workloads NAME ...`` runs only the named ones, for example to re-check
+one workload without a full set.
 A gain needs at least ten pairs to be told from noise, so fewer are refused.
 
 The output JSON records the conditions that change what is measured: the
@@ -117,12 +119,20 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    parser.add_argument("--workloads", nargs="+", metavar="NAME",
+                        help="workloads to run (default: every one in BENCHMARK.json)")
     args = parser.parse_args(argv)
     if args.pairs < MIN_PAIRS:
         parser.error(f"--pairs must be >= {MIN_PAIRS}")
 
     bench = load_benchmark(args.change)
     chosen = [w["name"] for w in bench["workloads"]]
+    if args.workloads:
+        unknown = sorted(set(args.workloads) - set(chosen))
+        if unknown:
+            parser.error(f"unknown workloads {', '.join(unknown)}; "
+                         f"BENCHMARK.json has {', '.join(chosen)}")
+        chosen = [w for w in chosen if w in args.workloads]
     seconds = bench["run_seconds"]
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
