@@ -29,7 +29,6 @@ from .sim import (
     StepView,
     TravelLog,
     run_episode,
-    write_trace_csv,
 )
 from .classic import (
     FixedTimeController,

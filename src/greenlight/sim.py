@@ -10,13 +10,19 @@ exact rational value.  Every step is one second:
     (b) arrivals          due vehicles enter the free-flow segment
     (c) queue join        the vehicles that entered one free-flow time ago queue up
     (d) discharge         green lanes release head-of-queue vehicles
-    (e) reward            R = -sum of queue lengths, post-movement
+    (e) reward            R = -sum of queue lengths, post-movement; the view
+                          computes it when read
     (f) clock advance
 
 With this ordering the waiting-event accounting is exact: a vehicle that
 reaches the stop line at step r and departs at step d appears in exactly
 d - r post-movement queue snapshots, so summed queue lengths equal summed
-per-vehicle delays with no rounding.
+per-vehicle delays with no rounding.  The same count gives the episode
+traces: lane j's queue after step t is the number of its vehicles that
+reached the stop line at a step <= t minus those that crossed it at a step
+<= t, so `run_episode` builds the queue, reward and phase traces once, at
+the end of the episode, from the stop-line and departure steps and the
+phase switches the sims record.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,13 +69,21 @@ class StepView:
     ready_sums: tuple[int, ...]   # summed stop-line arrival steps of queued vehicles
     green_mask: np.ndarray        # c_j of the step just run, and of the next if it keeps;
                                   # the simulator's shared read-only array
-    reward: float                 # -sum(q_j), always <= 0; 0.0 before the first step
     departures: list[int]         # vehicle ids that crossed the stop line in the step
     clock_s: int                  # the next step to run = the number of steps run
     elapsed_green_s: int
     in_transition: bool
     min_green_met: bool
     occupancy: Callable[[int], np.ndarray]  # cells_per_lane -> occupancy vector
+
+    @property
+    def reward(self) -> float:
+        """-sum(q_j), always <= 0 and 0.0 before the first step; computed on
+        read, since only an agent with the ``queue`` reward reads it, once
+        per step.  Not cached: a ``cached_property`` takes a lock on its
+        first read, which costs several times the sum.  The int sum is
+        negated before the conversion, so no -0.0 appears."""
+        return float(-sum(self.queues))
 
     @cached_property
     def stopped_fraction(self) -> np.ndarray:
@@ -253,6 +267,8 @@ class IntersectionSim:
         self._joins: dict[int, list[tuple[int, int]]] = {}
         # per-lane measures, updated at entries, joins and departures only
         self._counts, self._queues, self._ready_sums = ([0] * config.lane_count for _ in range(3))
+        # (first step, phase) of each stretch of the active phase, for the phase trace
+        self._phase_starts: list[tuple[int, int]] = [(0, 0)]
         self.state = SimState(
             clock_s=0,
             lanes=[_LaneState() for _ in config.lanes],
@@ -275,19 +291,28 @@ class IntersectionSim:
         lane_idx = self.config.lane_index(lane)
         if lane_idx is None:
             raise ConfigError(f"demand_lane: lane {lane} does not exist at this intersection")
-        self._arrivals[self.entry_step(entry_time_s)].append((vehicle_id, lane_idx))
+        self._schedule(vehicle_id, lane_idx, self.entry_step(entry_time_s))
+
+    def _schedule(self, vehicle_id: int, lane_idx: int, step: int) -> None:
+        """File a vehicle to enter lane `lane_idx` at `step`, which must not
+        have been simulated: `step` pops only the step it runs."""
+        if step < self.state.clock_s:
+            raise SimulationError(
+                f"vehicle {vehicle_id}: entry step {step} is already simulated "
+                f"(clock_s={self.state.clock_s})"
+            )
+        self._arrivals[step].append((vehicle_id, lane_idx))
 
     # -- step view -----------------------------------------------------------
 
     def _build_view(self, green_mask: np.ndarray, departures: list[int]) -> StepView:
         """The view of the current state: a tuple snapshot of each lane measure."""
         st = self.state
-        queues = tuple(self._queues)
         return StepView(
-            st.current_phase_index, tuple(self._counts), queues, tuple(self._ready_sums),
-            green_mask, float(-sum(queues)),  # int negation avoids -0.0
-            departures, st.clock_s, st.green_elapsed_s, st.transition_countdown_s > 0,
-            st.green_elapsed_s >= self.config.min_green_s, self.occupancy_vector,
+            st.current_phase_index, tuple(self._counts), tuple(self._queues),
+            tuple(self._ready_sums), green_mask, departures, st.clock_s, st.green_elapsed_s,
+            st.transition_countdown_s > 0, st.green_elapsed_s >= self.config.min_green_s,
+            self.occupancy_vector,
         )
 
     def occupancy_vector(self, cells_per_lane: int) -> np.ndarray:
@@ -346,12 +371,14 @@ class IntersectionSim:
                 st.current_phase_index = st.pending_phase_index  # type: ignore[assignment]
                 st.pending_phase_index = None
                 st.green_elapsed_s = 0
+                self._phase_starts.append((t, st.current_phase_index))
         elif action == CHANGE:
             if st.green_elapsed_s >= cfg.min_green_s:
                 nxt = (st.current_phase_index + 1) % cfg.phase_count
                 if cfg.transition_time_s == 0:
                     st.current_phase_index = nxt
                     st.green_elapsed_s = 0
+                    self._phase_starts.append((t, nxt))
                 else:
                     st.pending_phase_index = nxt
                     st.transition_countdown_s = cfg.transition_time_s
@@ -407,6 +434,29 @@ class IntersectionSim:
             st.green_elapsed_s += 1
         self._view = self._build_view(mask, departures)
         return self._view
+
+    def _traces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The reward, phase and queue traces of every step run, as the views
+        reported them, rebuilt from the recorded events.
+
+        Lane j's queue after step t is the difference of its cumulative
+        curves: vehicles with a stop-line step <= t minus those with a
+        departure step <= t, the running sum of per-step joins minus
+        departures.  A vehicle still in free flow has a stop-line step past
+        the last one run.  Mid-transition the phase trace keeps the outgoing
+        phase.
+        """
+        horizon, records = self.state.clock_s, self.log.records
+        queues = np.empty((horizon, self.config.lane_count), dtype=np.int64)
+        for j, lane in enumerate(self.state.lanes):
+            departs = [records[vid].depart_s for vid in lane.vehicle_ids[:lane.departed]]
+            np.subtract(np.bincount(lane.ready_steps, minlength=horizon)[:horizon],
+                        np.bincount(departs, minlength=horizon), out=queues[:, j])
+        np.cumsum(queues, axis=0, out=queues)
+        starts, phase_indices = zip(*self._phase_starts)
+        phases = np.repeat(np.array(phase_indices, dtype=np.int64), np.diff(starts + (horizon,)))
+        # negate the int sums before converting, so no -0.0 appears
+        return (-queues.sum(axis=1)).astype(float), phases, queues
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +519,10 @@ def run_episode(
     """Step every intersection once per second for `horizon_s` seconds.
 
     Vehicles departing an intersection re-enter the next intersection of
-    their route after the network link travel time.  Each step's reward,
-    phase and queue row are written into trace arrays sized for the horizon
-    up front.  Fully deterministic for a given (network, controllers,
-    demand, seed).
+    their route after the network link travel time.  The reward, phase and
+    queue traces are built once, at the end of the episode, from the events
+    each sim recorded.  Fully deterministic for a given (network,
+    controllers, demand, seed).
     """
     if horizon_s <= 0:
         raise ConfigError("horizon: horizon_s must be positive")
@@ -493,59 +543,49 @@ def run_episode(
         )
 
     sims = [IntersectionSim(cfg) for cfg in network.intersections]
+    # each distinct route object as (sim, lane index) hops, resolved once;
+    # ``demand`` keeps every route alive, so its ``id`` is a safe key
+    hops_of_route: dict[int, tuple[tuple[IntersectionSim, int], ...]] = {}
+    hops: dict[int, tuple[tuple[IntersectionSim, int], ...]] = {}
     route_pos: dict[int, int] = {}
-    routes: dict[int, tuple[LaneId, ...]] = {}
     for veh in demand:
-        routes[veh.id] = veh.route
+        route_hops = hops_of_route.get(id(veh.route))
+        if route_hops is None:
+            route_hops = hops_of_route[id(veh.route)] = tuple(
+                (sims[lane.intersection], sims[lane.intersection].config.lane_index(lane))
+                for lane in veh.route
+            )
+        hops[veh.id] = route_hops
         route_pos[veh.id] = 0
-        first = veh.route[0]
-        sims[first.intersection].schedule_arrival(veh.id, first, veh.entry_time_s)
+        sim, j = route_hops[0]
+        sim._schedule(veh.id, j, IntersectionSim.entry_step(veh.entry_time_s))
 
-    rewards = [np.empty(horizon_s) for _ in range(n)]
-    phases = [np.empty(horizon_s, dtype=np.int64) for _ in range(n)]
-    queues = [np.empty((horizon_s, c.lane_count), dtype=np.int64) for c in network.intersections]
+    # the entry step of a next hop, by the step its vehicle departs
+    hop_steps = [IntersectionSim.entry_step(t + network.link_travel_time_s)
+                 for t in range(horizon_s)]
+    bound = [(sim.step, sim.control_context, ctrl.decide, ctrl.after_step)
+             for sim, ctrl in zip(sims, controllers)]
     network_departures = 0
-
-    for t in range(horizon_s):
-        for i, sim in enumerate(sims):
-            view = sim.step(controllers[i].decide(sim.control_context()))
-            controllers[i].after_step(view)
-            rewards[i][t] = view.reward
-            phases[i][t] = view.phase_index
-            queues[i][t] = view.queues
+    for hop_step in hop_steps:
+        for step, control_context, decide, after_step in bound:
+            view = step(decide(control_context()))
+            after_step(view)
             for vid in view.departures:
                 pos = route_pos[vid] + 1
-                route_pos[vid] = pos
-                route = routes[vid]
-                if pos < len(route):
-                    nxt = route[pos]
-                    sims[nxt.intersection].schedule_arrival(
-                        vid, nxt, t + network.link_travel_time_s
-                    )
+                route_hops = hops[vid]
+                if pos < len(route_hops):
+                    route_pos[vid] = pos
+                    sim, j = route_hops[pos]
+                    sim._schedule(vid, j, hop_step)
                 else:
                     network_departures += 1
 
+    rewards, phases, queues = zip(*(sim._traces() for sim in sims))
     return EpisodeResult(
         travel_logs=[sim.log for sim in sims],
-        reward_traces=rewards, queue_traces=queues, phase_traces=phases,
+        reward_traces=list(rewards), queue_traces=list(queues), phase_traces=list(phases),
         horizon_s=horizon_s,
         seed=seed,
         network_departures=network_departures,
         ignored_actions=[sim.state.ignored_actions for sim in sims],
     )
-
-
-def write_trace_csv(out: TextIO, result: EpisodeResult, intersection: int = 0) -> None:
-    """Export `t,phase,reward,q_lane0,...` for one intersection of an episode."""
-    queues = result.queue_traces[intersection]
-    lanes = queues.shape[1]
-    header = "t,phase,reward," + ",".join(f"q_lane{j}" for j in range(lanes))
-    out.write(header + "\n")
-    for t in range(result.horizon_s):
-        row = [
-            str(t),
-            str(int(result.phase_traces[intersection][t])),
-            repr(float(result.reward_traces[intersection][t])),
-        ]
-        row += [str(int(q)) for q in queues[t]]
-        out.write(",".join(row) + "\n")

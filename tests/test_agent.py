@@ -51,7 +51,6 @@ def make_view(counts, phase_index: int = 0, *, queues=None, waiting_steps=None,
         queues=queues,
         ready_sums=tuple(clock_s * q - w for q, w in zip(queues, waiting)),
         green_mask=np.zeros(len(counts), dtype=bool),
-        reward=0.0,
         departures=[],
         clock_s=clock_s,
         elapsed_green_s=0,

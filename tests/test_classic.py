@@ -243,8 +243,8 @@ def sotl_situations(draw):
     green = cfg.green_lane_indices(phase)
     view = StepView(
         phase_index=phase, counts=queues, queues=queues, ready_sums=(0,) * cfg.lane_count,
-        green_mask=np.array([j in green for j in range(cfg.lane_count)]), reward=0.0,
-        departures=[], clock_s=0, elapsed_green_s=draw(st.integers(0, 12)),
+        green_mask=np.array([j in green for j in range(cfg.lane_count)]), departures=[],
+        clock_s=0, elapsed_green_s=draw(st.integers(0, 12)),
         in_transition=False, min_green_met=False, occupancy=lambda cells: np.zeros(0),
     )
     thresholds = draw(st.tuples(st.sampled_from([0.0, 1.0, 2.5, 4.0]),

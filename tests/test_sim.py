@@ -1,9 +1,7 @@
 """Step-rule oracles for the point-queue engine, traced by hand."""
 
 import dataclasses
-import io
 
-import numpy as np
 import pytest
 
 from greenlight.core import (
@@ -29,7 +27,6 @@ from greenlight.sim import (
     SimulationError,
     run_episode,
     validate_demand,
-    write_trace_csv,
 )
 
 
@@ -70,6 +67,20 @@ def test_schedule_arrival_rejects_unknown_lane():
     sim = make_sim()
     with pytest.raises(ConfigError):
         sim.schedule_arrival(0, lane("WL"), 0.0)
+
+
+def test_schedule_arrival_rejects_an_entry_step_already_simulated():
+    sim = make_sim()
+    for _ in range(5):
+        sim.step(KEEP)
+    with pytest.raises(SimulationError,
+                       match=r"vehicle 7: entry step 2 is already simulated \(clock_s=5\)"):
+        sim.schedule_arrival(7, lane("WT"), 2.0)
+    sim.schedule_arrival(8, lane("WT"), 4.5)  # entry step 5, the next to run
+    for _ in range(60):
+        sim.step(KEEP)
+    assert list(sim.log.records) == [8]
+    assert not sim._arrivals
 
 
 # -- single-vehicle free flow ------------------------------------------------
@@ -447,31 +458,6 @@ def test_sub_second_link_time_enters_on_the_next_step():
     first, second = result.travel_logs[1].records, result.travel_logs[0].records
     assert result.network_departures == 20
     assert all(second[v].entry_s == first[v].depart_s + 1 for v in range(20))
-
-
-def test_trace_csv_golden_rows():
-    net = single_intersection_network(build_standard_intersection(2))
-    demand = [Vehicle(0, 0.0, (lane("NT"),))]
-    result = run_episode(net, [AlwaysKeepController()], demand, horizon_s=32)
-    buf = io.StringIO()
-    write_trace_csv(buf, result)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,phase,reward,q_lane0,q_lane1,q_lane2,q_lane3"
-    assert lines[1] == "0,0,0.0,0,0,0,0"
-    assert lines[31] == "30,0,-1.0,0,0,1,0"
-
-
-def test_episode_is_deterministic():
-    net = single_intersection_network(build_standard_intersection(2))
-    demand = [Vehicle(i, 3.7 * i, (lane("WT"),)) for i in range(20)]
-
-    def render() -> str:
-        result = run_episode(net, [FixedFive()], demand, horizon_s=200, seed=5)
-        buf = io.StringIO()
-        write_trace_csv(buf, result)
-        return buf.getvalue()
-
-    assert render() == render()
 
 
 def test_exact_credit_arithmetic_is_fractional():
