@@ -45,6 +45,8 @@ from .sim import (
 
 log = logging.getLogger(__name__)
 
+EPSILON_DECAY_FRACTION = 0.6  # share of the training steps over which epsilon ramps down
+
 
 class StateMode(str, Enum):
     COUNTS_PHASE = "counts_phase"
@@ -94,6 +96,11 @@ class AgentConfig:
         for name in ("epsilon_start", "epsilon_end", "random_change_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"agent_{name}: must lie in [0, 1]")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ConfigError("agent_hidden_dims: need at least one hidden layer, "
+                              "each of width >= 1")
+        if self.learning_rate <= 0:
+            raise ConfigError("agent_learning_rate: must be > 0")
         if self.batch_size < 1 or self.replay_capacity < self.batch_size:
             raise ConfigError("agent_replay: need capacity >= batch_size >= 1")
         if self.target_sync_interval < 1 or self.decision_interval_s < 1:
@@ -452,12 +459,12 @@ class DQNAgent:
 
     # -- schedule ------------------------------------------------------------
 
-    def set_epsilon_horizon(self, total_training_steps: int,
-                            fraction: float = 0.6) -> None:
-        """Resolve the linear epsilon ramp against a planned step budget,
-        unless the config or an earlier call already fixed it."""
+    def set_epsilon_horizon(self, total_training_steps: int) -> None:
+        """Resolve the linear epsilon ramp to the first EPSILON_DECAY_FRACTION
+        of a planned step budget, unless the config or an earlier call
+        already fixed it."""
         if self._decay_steps is None:
-            self._decay_steps = max(1, int(total_training_steps * fraction))
+            self._decay_steps = max(1, int(total_training_steps * EPSILON_DECAY_FRACTION))
 
     @property
     def epsilon(self) -> float:
@@ -633,7 +640,6 @@ def train(
     horizon_s: int,
     *,
     base_seed: int = 0,
-    epsilon_fraction: float = 0.6,
 ) -> TrainingResult:
     """Run `episodes` training episodes, returning the learning curve.
 
@@ -652,7 +658,7 @@ def train(
         raise ConfigError("train: need at least one episode")
     total_steps = episodes * (horizon_s // agent_list[0].config.decision_interval_s)
     for agent in agent_list:
-        agent.set_epsilon_horizon(total_steps, epsilon_fraction)
+        agent.set_epsilon_horizon(total_steps)
         agent.drain_episode_losses()
 
     result = TrainingResult()

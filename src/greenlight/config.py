@@ -204,13 +204,12 @@ def _admits(annotation: str, value: Any) -> bool:
     return isinstance(value, types) and (bool in types or not isinstance(value, bool))
 
 
-def _check_types(section: Any, key: str) -> None:
-    """Reject a field whose value is not of its annotated numeric type, such
+def _check_types(section_cls: type, values: dict, key: str) -> None:
+    """Reject a value that is not of its field's annotated numeric type, such
     as a quoted YAML number, before any comparison reads it."""
-    for f in fields(section):
-        value = getattr(section, f.name)
-        if not _admits(f.type, value):
-            raise ConfigError(f"{key}.{f.name}: expected {f.type}, got {value!r}")
+    for f in fields(section_cls):
+        if f.name in values and not _admits(f.type, values[f.name]):
+            raise ConfigError(f"{key}.{f.name}: expected {f.type}, got {values[f.name]!r}")
 
 
 def _check_demand_numbers(section: DemandSection, key: str) -> None:
@@ -234,12 +233,18 @@ def _check_demand_numbers(section: DemandSection, key: str) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Reject every config that `run` would fail on, before an episode starts.
+
+    After the scalar and type checks, the network, every demand section and
+    the Webster settings are built by the builders `run` calls, so what they
+    refuse is refused here, under its section's key.
+    """
     net, dem, ctrl, run = cfg.network, cfg.demand, cfg.controller, cfg.run
     demands = [("demand", dem)] + ([("deploy_demand", cfg.deploy_demand)]
                                    if cfg.deploy_demand else [])
     for key, section in [("network", net), ("controller", ctrl), ("run", run),
                          ("train", cfg.train)] + demands:
-        _check_types(section, key)
+        _check_types(type(section), vars(section), key)
     for key, section in demands:
         _check_demand_numbers(section, key)
     if net.kind not in NETWORK_KINDS:
@@ -258,30 +263,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"{section_name}.process: {section.process!r} "
                 "(expected deterministic or poisson)"
             )
-    for key, section in demands:
-        if section.kind == "peaked":
-            demand_mod.peak_spans(section.peak_windows, run.horizon_s,
-                                  key=f"{key}.peak_windows")
-    # lane labels and demand files name lanes of the built network, so build it only for them
-    labelled = [(key, section) for key, section in demands
-                if (section.kind == "uniform" and isinstance(section.rate_vph, dict))
-                or (section.kind == "peaked" and section.peak_lanes is not None)]
-    files = [(key, section) for key, section in demands if section.kind == "file"]
-    network = _network_of(net) if labelled or files else None
-    if labelled:
-        entry_lanes = _entry_lanes(network)
-        for key, section in labelled:
-            if section.kind == "peaked":
-                _peak_lanes(section.peak_lanes, entry_lanes, key)
-            else:
-                _mapped_rates(section.rate_vph, entry_lanes, key)
-    for key, section in files:
-        try:
-            validate_demand(network, demand_mod.load_demand_csv(section.path, network))
-        except OSError as exc:
-            raise ConfigError(f"{key}.path: cannot read {section.path}: {exc.strerror}") from None
-        except ConfigError as exc:
-            raise ConfigError(f"{key}.path: {exc}") from None
     if ctrl.kind not in CONTROLLER_KINDS:
         raise ConfigError(f"controller.kind: {ctrl.kind!r} not in {CONTROLLER_KINDS}")
     if run.horizon_s < 1:
@@ -294,20 +275,30 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("train.episodes: must be >= 1")
     if cfg.train.horizon_s is not None and cfg.train.horizon_s < 1:
         raise ConfigError("train.horizon_s: must be >= 1")
+    if ctrl.phase_duration_s <= 0:
+        raise ConfigError("controller.phase_duration_s: must be > 0")
     for key in ("theta_red", "theta_green"):
         if getattr(ctrl, key) < 0:
             raise ConfigError(f"controller.{key}: must be >= 0")
-    # constructing these surfaces nested errors early, with their key prefix
+    for key, section_cls, values in (("controller.agent", AgentConfig, ctrl.agent),
+                                     ("controller.webster", WebsterParams, ctrl.webster)):
+        if not isinstance(values, dict):
+            raise ConfigError(f"{key}: expected a mapping, got {values!r}")
+        _check_types(section_cls, values, key)
     try:
-        agent = AgentConfig.from_dict(ctrl.agent)
-    except (ConfigError, TypeError) as exc:
+        AgentConfig.from_dict(ctrl.agent)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"controller.agent: {exc}") from None
-    _check_types(agent, "controller.agent")
     try:
-        webster = WebsterParams(**_webster_overrides(ctrl))
-    except (ConfigError, TypeError) as exc:
+        network = _network_of(net)
+    except ValueError as exc:
+        raise ConfigError(f"network: {exc}") from None
+    for key, section in demands:
+        build_demand_fn(section, network, 0, run.horizon_s, key=key)
+    try:
+        build_webster_params(cfg, network.intersections[0])
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"controller.webster: {exc}") from None
-    _check_types(webster, "controller.webster")
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +325,11 @@ def _network_of(net: NetworkSection) -> NetworkConfig:
 
 
 def _entry_lanes(network: NetworkConfig) -> list[LaneId]:
-    """Lanes fed from outside the grid (no upstream link on their approach)."""
-    out = []
-    for i, intersection in enumerate(network.intersections):
-        for lane in intersection.lanes:
-            feeds_from_outside = all(
-                dst != (i, lane.approach) for dst in network.links.values()
-            )
-            if feeds_from_outside:
-                out.append(lane)
-    return out
+    """Lanes fed from outside the grid (no upstream link on their approach),
+    in intersection then lane order."""
+    fed = set(network.links.values())
+    return [lane for i, intersection in enumerate(network.intersections)
+            for lane in intersection.lanes if (i, lane.approach) not in fed]
 
 
 def _mapped_rates(rates: dict, entry_lanes: Sequence[LaneId], key: str
@@ -400,57 +386,59 @@ def build_demand_fn(
 ) -> Callable[[int], list[Vehicle]]:
     """Episode-indexed demand source, deterministic per (section, run_seed).
 
-    Multi-intersection networks route every vehicle straight through the
-    grid from its entry lane.  A per-lane rate mapping covers only the lanes
-    it names; the remaining entry lanes receive no traffic.  ``key`` is the
-    section's name in the config, for error messages.
+    The section is resolved here, once: its entry lanes and their routes,
+    rate mapping, peak lanes and windows, or its file, loaded and route-checked.
+    What does not resolve raises a ConfigError prefixed with ``key``, the
+    section's name in the config; the returned function only draws.
+    Generated vehicles run straight through the grid from their entry lane.
+    A per-lane rate mapping covers only the lanes it names; the remaining
+    entry lanes receive no traffic.
     """
-    multi = network.intersection_count > 1
-    route_fn = (lambda lane: demand_mod.straight_route(network, lane)) if multi else None
-    entry_lanes = _entry_lanes(network) if multi else list(network.intersections[0].lanes)
-
     if section.kind == "file":
-        vehicles = demand_mod.load_demand_csv(section.path, network)
+        try:
+            vehicles = demand_mod.load_demand_csv(section.path, network)
+            validate_demand(network, vehicles)
+        except OSError as exc:
+            raise ConfigError(f"{key}.path: cannot read {section.path}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{key}.path: {exc}") from None
         return lambda episode: vehicles
 
-    def lane_rates() -> dict[LaneId, float]:
-        if isinstance(section.rate_vph, dict):
-            return _mapped_rates(section.rate_vph, entry_lanes, key)
-        return {lane: float(section.rate_vph) for lane in entry_lanes}
+    entry_lanes = _entry_lanes(network)
+    routes = {lane: demand_mod.straight_route(network, lane) for lane in entry_lanes}
+    process = demand_mod.ArrivalProcess(section.process)
+    vary = section.fresh_each_episode and section.process == "poisson"
+    if section.kind == "uniform":
+        rates = (_mapped_rates(section.rate_vph, entry_lanes, key)
+                 if isinstance(section.rate_vph, dict) else float(section.rate_vph))
 
-    peak_lanes = (_peak_lanes(section.peak_lanes, entry_lanes, key)
-                  if section.kind == "peaked" else None)
+        def spec(seed: int) -> demand_mod.DemandSpec:
+            return demand_mod.uniform_spec(rates, entry_lanes, float(horizon_s), process, seed)
+    else:  # peaked
+        spans = demand_mod.peak_spans([tuple(w) for w in section.peak_windows], horizon_s,
+                                      key=f"{key}.peak_windows")
+        peak_lanes = _peak_lanes(section.peak_lanes, entry_lanes, key)
+
+        def spec(seed: int) -> demand_mod.DemandSpec:
+            return demand_mod.peaked_spec(section.base_vph, section.peak_vph, spans,
+                                          entry_lanes, float(horizon_s), process, seed,
+                                          peak_lanes)
 
     def make(episode: int) -> list[Vehicle]:
-        vary = section.fresh_each_episode and section.process == "poisson"
         seed = _mix_seed(section.seed, run_seed, episode if vary else 0)
-        process = demand_mod.ArrivalProcess(section.process)
-        if section.kind == "uniform":
-            spec = demand_mod.uniform_spec(
-                lane_rates(), entry_lanes, float(horizon_s), process, seed,
-            )
-        else:  # peaked
-            spec = demand_mod.peaked_spec(
-                section.base_vph, section.peak_vph,
-                [tuple(w) for w in section.peak_windows],
-                entry_lanes, float(horizon_s), process, seed, peak_lanes,
-            )
-        return demand_mod.realize(spec, route_fn)
+        return demand_mod.realize(spec(seed), routes.__getitem__)
 
     return make
 
 
-def _webster_overrides(ctrl: ControllerSection) -> dict:
-    """``controller.webster`` with YAML lists as the tuples WebsterParams holds."""
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in ctrl.webster.items()}
-
-
 def build_webster_params(cfg: ExperimentConfig,
                          intersection: IntersectionConfig) -> WebsterParams:
+    """The intersection's geometry, overridden by ``controller.webster``
+    (YAML lists become the tuples WebsterParams holds)."""
     return WebsterParams(**{
         "loss_time_per_phase_s": float(intersection.transition_time_s),
         "saturation_headway_s": intersection.saturation_headway_s,
-        **_webster_overrides(cfg.controller),
+        **{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.controller.webster.items()},
     })
 
 

@@ -31,7 +31,6 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,22 +79,22 @@ class StepView:
     def reward(self) -> float:
         """-sum(q_j), always <= 0 and 0.0 before the first step; computed on
         read, since only an agent with the ``queue`` reward reads it, once
-        per step.  Not cached: a ``cached_property`` takes a lock on its
-        first read, which costs several times the sum.  The int sum is
-        negated before the conversion, so no -0.0 appears."""
+        per step.  Not cached, like the two below: a ``cached_property``
+        takes a lock on its first read, which costs several times the sum.
+        The int sum is negated before the conversion, so no -0.0 appears."""
         return float(-sum(self.queues))
 
-    @cached_property
+    @property
     def stopped_fraction(self) -> np.ndarray:
         """q_j / v_j as a read-only float array, 0 where the lane is empty;
-        computed on first read, since only the ``delay`` reward, alone or
-        weighted, reads it."""
+        computed on read, since only the ``delay`` reward, alone or
+        weighted, reads it, once per step."""
         return _read_only(np.array(self.queues) / np.maximum(self.counts, 1))
 
-    @cached_property
+    @property
     def waiting_steps(self) -> tuple[int, ...]:
         """Summed waiting-so-far of each lane's queued vehicles, computed on
-        first read: only the ``waiting`` reward or state reads it.  A vehicle
+        read: only the ``waiting`` reward or state reads it.  A vehicle
         queued since step r has waited through steps r .. clock_s - 1."""
         return tuple([self.clock_s * q - s for q, s in zip(self.queues, self.ready_sums)])
 

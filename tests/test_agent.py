@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from greenlight.agent import (
+    EPSILON_DECAY_FRACTION,
     AgentConfig,
     DQNAgent,
     QNetwork,
@@ -107,6 +108,12 @@ def test_config_validation_errors():
         AgentConfig(reward_mode="weighted", reward_weights={"weighted": 1.0})
     with pytest.raises(ConfigError):
         AgentConfig(occupancy_cells=0)
+    for hidden_dims in ((), (8, 0)):
+        with pytest.raises(ConfigError, match="agent_hidden_dims"):
+            AgentConfig(hidden_dims=hidden_dims)
+    for learning_rate in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="agent_learning_rate"):
+            AgentConfig(learning_rate=learning_rate)
 
 
 # -- state encoding ----------------------------------------------------------
@@ -365,10 +372,10 @@ def test_epsilon_linear_schedule():
 def test_set_epsilon_horizon_only_fills_unset():
     inter = build_standard_intersection(2)
     auto = DQNAgent(inter, AgentConfig(), seed=0)
-    auto.set_epsilon_horizon(1000, fraction=0.5)
-    assert auto._decay_steps == 500
+    auto.set_epsilon_horizon(1000)
+    assert auto._decay_steps == int(1000 * EPSILON_DECAY_FRACTION) == 600
     fixed = DQNAgent(inter, AgentConfig(epsilon_decay_steps=42), seed=0)
-    fixed.set_epsilon_horizon(1000, fraction=0.5)
+    fixed.set_epsilon_horizon(1000)
     assert fixed._decay_steps == 42
 
 

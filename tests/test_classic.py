@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from greenlight.classic import (
     FixedTimeController,
-    FlowEstimate,
     OversaturatedError,
     SotlController,
     WebsterController,
@@ -25,7 +24,6 @@ from greenlight.core import (
     ConfigError,
     LaneId,
     Movement,
-    Vehicle,
     build_standard_intersection,
     single_intersection_network,
 )

@@ -321,16 +321,25 @@ def file_demand_config(tmp_path, section, demand_path, controller="fixedtime"):
 
 
 @pytest.mark.parametrize("section", ["demand", "deploy_demand"])
-@pytest.mark.parametrize("problem", ["missing", "unroutable"])
-def test_validate_config_bad_demand_file_exits_1(tmp_path, capsys, section, problem):
-    demand_path = (tmp_path / "absent.csv" if problem == "missing"
-                   else unroutable_demand_file(tmp_path))
+@pytest.mark.parametrize("problem, message", [
+    pytest.param("missing", "cannot read", id="missing"),
+    pytest.param("unroutable", "demand_route", id="unroutable"),
+    pytest.param("undecodable", "codec can't decode", id="undecodable"),  # a ValueError
+])
+def test_validate_config_bad_demand_file_exits_1(tmp_path, capsys, section, problem, message):
+    if problem == "missing":
+        demand_path = tmp_path / "absent.csv"
+    elif problem == "unroutable":
+        demand_path = unroutable_demand_file(tmp_path)
+    else:
+        demand_path = tmp_path / "binary.csv"
+        demand_path.write_bytes(b"\xff\xfe\x00bad")
     path = file_demand_config(tmp_path, section, demand_path)
     assert cli.main(["validate-config", "--config", path]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert "OK" not in captured.out
     assert "config error" in captured.err and f"{section}.path" in captured.err
-    assert ("cannot read" if problem == "missing" else "demand_route") in captured.err
+    assert message in captured.err
 
 
 def test_validate_config_accepts_a_routable_demand_file(tmp_path, capsys):
@@ -351,6 +360,37 @@ def test_rl_run_with_unroutable_deploy_demand_fails_before_training(tmp_path, ca
     assert cli.main(["run", "--config", path]) == cli.EXIT_CONFIG
     assert "deploy_demand.path: demand_route" in capsys.readouterr().err
     assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("controller, section, override, key", [
+    ("fixedtime", "network", {"road_length_m": -5}, "network: road_length"),
+    ("fixedtime", "network", {"free_flow_speed_mps": 0}, "network: free_flow_speed"),
+    ("fixedtime", "network", {"saturation_headway_s": 0}, "network: saturation_headway"),
+    ("fixedtime", "network", {"yellow_s": -1}, "network: transition_time"),
+    ("fixedtime", "network", {"min_green_s": 0}, "network: min_green"),
+    ("fixedtime", "controller", {"phase_duration_s": 0}, "controller.phase_duration_s"),
+    ("webster", "controller", {"phase_duration_s": -1}, "controller.phase_duration_s"),
+    ("rl", "agent", {"hidden_dims": []}, "controller.agent: agent_hidden_dims"),
+    ("rl", "agent", {"hidden_dims": [0]}, "controller.agent: agent_hidden_dims"),
+    ("rl", "agent", {"learning_rate": -1}, "controller.agent: agent_learning_rate"),
+    ("rl", "agent", {"reward_mode": "bogus"}, "controller.agent: 'bogus'"),
+    ("rl", "agent", {"state_mode": "bogus"}, "controller.agent: 'bogus'"),
+])
+def test_config_that_run_refuses_fails_validate_config_and_makes_no_out_dir(
+        tmp_path, capsys, controller, section, override, key):
+    with open(tiny_config(tmp_path, controller)) as fh:
+        doc = yaml.safe_load(fh)
+    target = doc["controller"]["agent"] if section == "agent" else doc.setdefault(section, {})
+    target.update(override)
+    path = tmp_path / "broken.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["validate-config", "--config", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert f"config error: {key}" in captured.err
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"config error: {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,18 @@
 """YAML experiment configuration: parsing, validation, and object builders."""
 
+import copy
+import os
+import re
+import tempfile
 import textwrap
 
 import pytest
 import yaml
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from greenlight import config as config_mod
+from greenlight import harness
 from greenlight.agent import AgentConfig
 from greenlight.config import (
     build_demand_fn,
@@ -267,17 +274,15 @@ def test_build_demand_fn_partial_rate_mapping_silences_other_lanes():
 
 
 def test_build_demand_fn_rejects_non_entry_lane():
-    # parse_config already refuses this mapping; build_demand_fn, which can be
-    # handed an unvalidated section, still refuses it too, under the section's key
+    # build_demand_fn, which validate_config calls, resolves the mapping when
+    # it is built, before any draw, and names the section's key
     cfg = parse_config({"network": {"kind": "grid", "rows": 1, "cols": 2}})
     cfg.demand.rate_vph = {"1:WT": 100.0}
     net = build_network(cfg)
-    fn = build_demand_fn(cfg.demand, net, run_seed=0, horizon_s=60)
     with pytest.raises(ConfigError, match=r"^demand\.rate_vph: 1:WT is not an entry lane"):
-        fn(0)
-    fn = build_demand_fn(cfg.demand, net, run_seed=0, horizon_s=60, key="deploy_demand")
+        build_demand_fn(cfg.demand, net, run_seed=0, horizon_s=60)
     with pytest.raises(ConfigError, match=r"^deploy_demand\.rate_vph: 1:WT is not an entry"):
-        fn(0)
+        build_demand_fn(cfg.demand, net, run_seed=0, horizon_s=60, key="deploy_demand")
 
 
 @pytest.mark.parametrize("section", ["demand", "deploy_demand"])
@@ -435,3 +440,165 @@ def test_default_config_dict_parses_and_validates():
 def test_default_config_dict_survives_yaml_round_trip():
     doc = default_config_dict()
     assert yaml.safe_load(yaml.safe_dump(doc)) == doc
+
+
+# ---------------------------------------------------------------------------
+# validate_config is the whole contract: what it accepts runs to the end,
+# and what it rejects is named by a config key
+
+
+AGENT_BASE = {"hidden_dims": [8], "batch_size": 4, "replay_capacity": 64,
+              "decision_interval_s": 10}
+LANE_LABELS = ["WT", "0:WT", "0:ET", "0:NT", "0:WL", "1:WT", "1:ET", "2:ET", "9:QQ", "x:WT"]
+ROUTES = ["0,W,T", "0,W,L", "0,W,T,1,W,T", "1,E,T,0,E,T", "0,N,T,2,N,T", "0,W,T,2,W,T",
+          "0,W,Q"]
+FAULTS = [   # (section, key, value): one bad or quoted field
+    ("network", "road_length_m", -5), ("network", "free_flow_speed_mps", 0),
+    ("network", "saturation_headway_s", 0), ("network", "yellow_s", -1),
+    ("network", "min_green_s", 0), ("network", "road_length_m", "300"),
+    ("demand", "rate_vph", "300"), ("demand", "peak_vph", -5),
+    ("run", "horizon_s", "600"), ("run", "episodes", 0), ("train", "episodes", 0),
+    ("train", "horizon_s", -5), ("train", "horizon_s", 0),
+    ("controller", "phase_duration_s", 0), ("controller", "phase_duration_s", "30"),
+    ("controller", "theta_red", -1),
+    ("agent", "hidden_dims", []), ("agent", "hidden_dims", [0]),
+    ("agent", "learning_rate", -1), ("agent", "learning_rate", "1e-3"),
+    ("agent", "reward_mode", "bogus"), ("agent", "state_mode", "bogus"),
+    ("agent", "gamma", 2.0),
+    ("webster", "cycle_bounds_s", [30]), ("webster", "measurement_window_s", 1),
+]
+HEADER = "vehicle_id,entry_time_s,intersection,approach,movement\n"
+KEY_PREFIX = r"^(network|demand|deploy_demand|controller|run|train)(\.\w+)*: "
+
+
+def oracle_case(doc, files=None):
+    """A config document, and the text of each ``kind: file`` section's
+    demand file by section name (None: the file does not exist)."""
+    return doc, files or {}
+
+
+def mostly(valid, anything):
+    """Values of `valid` three draws in four, of `anything` in the fourth."""
+    return st.integers(0, 3).flatmap(lambda i: anything if i == 3 else valid)
+
+
+@st.composite
+def demand_sections(draw, name, files):
+    kind = draw(st.sampled_from(["uniform", "peaked", "file"]))
+    if kind == "file":
+        rows = draw(st.lists(st.tuples(mostly(st.just("1.0"), st.just("-1")),
+                                       mostly(st.just("0,W,T"), st.sampled_from(ROUTES))),
+                             max_size=3))
+        header = draw(mostly(st.just(HEADER), st.just("vehicle,time\n")))
+        files[name] = draw(mostly(st.just(header + "".join(
+            f"{vid},{t},{route}\n" for vid, (t, route) in enumerate(rows))), st.none()))
+        return {"kind": "file", "path": f"@{name}"}
+    section = {"kind": kind, "seed": draw(st.integers(0, 3)),
+               "process": draw(st.sampled_from(["deterministic", "poisson"]))}
+    labels = st.lists(st.sampled_from(LANE_LABELS), min_size=1, max_size=2)
+    if kind == "uniform":
+        section["rate_vph"] = draw(mostly(
+            st.sampled_from([120.0, 400, {"WT": 300.0}, {"0:NT": 200, "0:ET": 0}]),
+            labels.map(lambda names: {label: 200.0 for label in names})))
+    else:
+        bound = st.sampled_from([-60, 0, 60, 120, 200, 300, 400])
+        section.update(base_vph=draw(st.sampled_from([100.0, 250])), peak_vph=600.0,
+                       peak_windows=draw(mostly(
+                           st.sampled_from([[], [[0, 60]], [[60, 120], [0, 60]]]),
+                           st.lists(st.lists(bound, min_size=2, max_size=2), max_size=2))),
+                       peak_lanes=draw(mostly(st.sampled_from([None, ["WT"]]), labels)))
+    return section
+
+
+@st.composite
+def oracle_cases(draw):
+    network = {"phases": draw(st.sampled_from([2, 4]))}
+    if draw(st.booleans()):
+        rows, cols = draw(st.sampled_from([(1, 2), (2, 1), (1, 3), (2, 2)]))
+        network.update(kind="grid", rows=rows, cols=cols)
+    files: dict = {}
+    doc = {
+        "network": network,
+        "demand": draw(demand_sections("demand", files)),
+        "controller": {"kind": draw(st.sampled_from(["fixedtime", "sotl", "webster", "rl"])),
+                       "agent": {**AGENT_BASE, "state_mode": draw(st.sampled_from(
+                           ["counts_phase", "counts_plus_occupancy", "waiting_phase"]))}},
+        "run": {"horizon_s": draw(st.sampled_from([120, 300])), "episodes": 1, "seeds": [0]},
+        "train": {"episodes": 1},
+    }
+    if draw(st.booleans()):
+        doc["deploy_demand"] = draw(demand_sections("deploy_demand", files))
+    if draw(st.integers(0, 3)) == 3:   # one draw in four gets a fault
+        section, key, value = draw(st.sampled_from(FAULTS))
+        if section in ("agent", "webster"):
+            doc["controller"].setdefault(section, {})[key] = value
+        else:
+            doc[section][key] = value
+    return oracle_case(doc, files)
+
+
+GRID_1X2 = {"kind": "grid", "rows": 1, "cols": 2}
+GRID_1X3 = {"kind": "grid", "rows": 1, "cols": 3}
+FILE = {"kind": "file", "path": "@demand"}
+DEPLOY_FILE = {"kind": "file", "path": "@deploy_demand"}
+RL = {"kind": "rl", "agent": AGENT_BASE}
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+# quoted numbers, rate-mapping labels, peaked lanes and windows, CLI-reachable
+# episode counts and the training horizon: earlier holes in validation
+@example(oracle_case({"run": {"horizon_s": "600"}}))
+@example(oracle_case({"controller": {"phase_duration_s": "30"}}))
+@example(oracle_case({"network": GRID_1X2, "demand": {"rate_vph": {"1:WT": 400, "9:QQ": 3}}}))
+@example(oracle_case({"network": GRID_1X2, "run": {"horizon_s": 600},
+                      "demand": {**PEAKED_1X2, "peak_lanes": ["1:WT"]}}))
+@example(oracle_case({"network": GRID_1X2, "run": {"horizon_s": 600},
+                      "demand": {**PEAKED_1X2, "peak_lanes": ["9:ET"]}}))
+@example(oracle_case({"network": GRID_1X2, "run": {"horizon_s": 3600},
+                      "demand": {**PEAKED_1X2, "peak_windows": [[0, 600], [300, 900]]}}))
+@example(oracle_case({"network": GRID_1X2, "run": {"horizon_s": 3600},
+                      "demand": {**PEAKED_1X2, "peak_windows": [[0, 6000]]}}))
+@example(oracle_case({"run": {"episodes": 0}}))
+@example(oracle_case({"train": {"episodes": 0}}))
+@example(oracle_case({"train": {"horizon_s": -5}}))
+@example(oracle_case({"train": {"horizon_s": 0}}))
+# demand files: missing, a bad header, a route that skips an intersection
+@example(oracle_case({"network": GRID_1X3, "demand": FILE}, {"demand": None}))
+@example(oracle_case({"network": GRID_1X3, "demand": FILE}, {"demand": "vehicle,time\n"}))
+@example(oracle_case({"network": GRID_1X3, "controller": RL, "train": {"episodes": 1},
+                      "run": {"horizon_s": 60}, "deploy_demand": DEPLOY_FILE},
+                     {"deploy_demand": HEADER + "0,1.0,0,W,T,2,W,T\n"}))
+# geometry, controller and agent values the builders refuse
+@example(oracle_case({"network": {"road_length_m": -5}}))
+@example(oracle_case({"network": {"free_flow_speed_mps": 0}}))
+@example(oracle_case({"network": {"saturation_headway_s": 0}}))
+@example(oracle_case({"network": {"yellow_s": -1}}))
+@example(oracle_case({"network": {"min_green_s": 0}}))
+@example(oracle_case({"controller": {"phase_duration_s": 0}}))
+@example(oracle_case({"controller": {"kind": "rl", "agent": {"hidden_dims": []}}}))
+@example(oracle_case({"controller": {"kind": "rl", "agent": {"hidden_dims": [0]}}}))
+@example(oracle_case({"controller": {"kind": "rl", "agent": {"learning_rate": -1}}}))
+@example(oracle_case({"controller": {"kind": "rl", "agent": {"reward_mode": "bogus"}}}))
+@example(oracle_case({"controller": {"kind": "rl", "agent": {"state_mode": "bogus"}}}))
+def test_validate_config_accepts_only_configs_that_run(case):
+    doc, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = copy.deepcopy(doc)
+        for name in ("demand", "deploy_demand"):
+            if name in doc and doc[name].get("path") == f"@{name}":
+                doc[name]["path"] = path = os.path.join(tmp, f"{name}.csv")
+                if files.get(name) is not None:
+                    with open(path, "w") as fh:
+                        fh.write(files[name])
+        doc.setdefault("run", {})["out_dir"] = os.path.join(tmp, "out")
+        try:
+            cfg = parse_config(doc)
+        except ConfigError as exc:
+            key = re.match(KEY_PREFIX, str(exc))
+            assert key, str(exc)
+            event(f"rejected: {key.group(0)}")   # see --hypothesis-show-statistics
+            return
+        event(f"accepted: {cfg.controller.kind}")
+        rows, paths = harness.run_experiment(cfg)
+        assert rows and os.path.exists(paths[0])

@@ -8,7 +8,6 @@ from greenlight.core import (
     ConfigError,
     LaneId,
     Movement,
-    Vehicle,
     build_grid_network,
     build_standard_intersection,
     single_intersection_network,
@@ -22,10 +21,8 @@ from greenlight.demand import (
     generate_uniform,
     load_demand_csv,
     peaked_spec,
-    realize,
     save_demand_csv,
     straight_route,
-    uniform_spec,
 )
 
 

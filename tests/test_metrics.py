@@ -7,7 +7,6 @@ import pytest
 
 from greenlight.core import ConfigError
 from greenlight.metrics import (
-    EpisodeMetrics,
     censored_avg_travel_time,
     check_identity,
     compute_metrics,

@@ -16,7 +16,6 @@ from greenlight.agent import (
     AgentConfig,
     DQNAgent,
     RewardMode,
-    compute_reward,
     training_controller,
 )
 from greenlight.core import Vehicle, build_standard_intersection, single_intersection_network
