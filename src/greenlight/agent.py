@@ -19,6 +19,7 @@ Three behavioural switches cover the deployment-style ablations:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from functools import partial
@@ -214,7 +215,13 @@ class QNetwork:
         return out
 
     def _bind(self, theta: np.ndarray) -> None:
-        """Lay out the pieces once: (offset, size, shape) of each in theta order."""
+        """Lay out the pieces once: (offset, size, shape) of each in theta order.
+
+        The views the update path multiplies by are taken here too, each a
+        view of ``theta``: per trunk layer its weight, the weight's transpose
+        and its bias, and the heads as one (2K, H) matrix, its transpose,
+        each phase's (H, 2) transpose and the (2K,) biases.
+        """
         dims = [self.input_dim, *self.hidden_dims]
         shapes = [s for fan_in, fan_out in zip(dims, dims[1:])
                   for s in ((fan_out, fan_in), (fan_out,))]
@@ -227,8 +234,13 @@ class QNetwork:
         *trunk, self.head_w, self.head_b = self._pieces(theta)
         self.theta = theta
         self.trunk = DenseNet([Layer(w, b, "relu") for w, b in zip(trunk[::2], trunk[1::2])])
-        self._trunk_wb = list(zip(trunk[::2], trunk[1::2]))
-        self._out_pieces: tuple = (None, [])  # last `out` of loss_and_grads, its pieces
+        self._layers = [(w, w.T, b) for w, b in zip(trunk[::2], trunk[1::2])]
+        self._head_w2 = self.head_w.reshape(-1, dims[-1])
+        self._head_w2_t = self._head_w2.T
+        self._head_w_t = [w.T for w in self.head_w]
+        self._head_b2 = self.head_b.reshape(-1)
+        self._row_starts: dict[int, np.ndarray] = {}  # batch size -> 0, K, 2K, ...
+        self._out_grads: tuple = (None, None)  # last `out` of loss_and_grads, its views
 
     # views do not survive pickling or deep copies; rebuild them on theta
     def __getstate__(self) -> dict:
@@ -258,23 +270,45 @@ class QNetwork:
 
     def _embed(self, x: np.ndarray) -> np.ndarray:
         """Trunk output for a (B, D) batch: relu(x @ W.T + b) per layer."""
-        for w, b in self._trunk_wb:
-            x = np.maximum(x @ w.T + b, 0.0)
+        for _, w_t, b in self._layers:
+            x = x.dot(w_t)
+            x += b
+            np.maximum(x, 0.0, out=x)
         return x
+
+    def _rows(self, batch: int) -> np.ndarray:
+        """0, K, 2K, ...: the first row of each batch row's K head rows."""
+        rows = self._row_starts.get(batch)
+        if rows is None:
+            rows = self._row_starts[batch] = np.arange(batch) * self.phase_count
+        return rows
 
     def q_values(self, encoded_state: np.ndarray, phase_index: int) -> np.ndarray:
         """[Q(s, keep), Q(s, change)] through the phase's head."""
         if not 0 <= phase_index < self.phase_count:
             raise ConfigError(f"qnetwork: phase index {phase_index} out of range")
         # the trunk sees a (1, D) matrix: a matrix-vector product may round differently
-        emb = self._embed(encoded_state[None, :])[0]
-        return emb @ self.head_w[phase_index].T + self.head_b[phase_index]
+        q = self._embed(encoded_state[None, :])[0].dot(self._head_w_t[phase_index])
+        q += self.head_b[phase_index]
+        return q
 
     def q_batch(self, states: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        emb = self._embed(states)
-        q = emb @ self.head_w.reshape(-1, emb.shape[1]).T
-        rows = np.arange(len(emb))
-        return q.reshape(len(emb), self.phase_count, 2)[rows, phases] + self.head_b[phases]
+        """(B, 2) Q-values, row i through head ``phases[i]``.
+
+        Each phase must lie in [0, K): the rows are gathered by flat index,
+        so an out-of-range phase is not caught here.
+        """
+        q = self._embed(states).dot(self._head_w2_t)        # (B, 2K): every head
+        q += self._head_b2
+        # as (B*K, 2) rows, row i's phase pair is row i*K + phases[i]
+        return q.reshape(-1, 2).take(self._rows(len(q)) + phases, axis=0)
+
+    def _grad_views(self, flat: np.ndarray) -> tuple:
+        """Views into ``flat``: (weight, bias) per trunk layer, then the head
+        weights as (2K, H) and the head biases as (2K,)."""
+        *trunk, head_w, head_b = self._pieces(flat)
+        return (list(zip(trunk[::2], trunk[1::2])), head_w.reshape(self._head_w2.shape),
+                head_b.reshape(-1))
 
     def loss_and_grads(
         self,
@@ -294,37 +328,45 @@ class QNetwork:
         size of ``theta``) the gradient overwrites it and ``out`` is
         returned; without it a fresh vector is made, and its views, aligned
         with parameters(), are returned, so a caller may keep them across
-        calls.
+        calls.  As in q_batch, each phase must lie in [0, K).
         """
         acts = [states]                  # input of each trunk layer, then the embedding
-        for w, b in self._trunk_wb:
-            acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+        for _, w_t, b in self._layers:
+            z = acts[-1].dot(w_t)
+            z += b
+            acts.append(np.maximum(z, 0.0, out=z))
         emb = acts[-1]
         batch = len(emb)
-        rows = np.arange(batch)
-        slots = 2 * np.asarray(phases) + np.asarray(actions).astype(int)
-        head_w = self.head_w.reshape(-1, emb.shape[1])     # (2K, H)
-        diff = (emb @ head_w.T)[rows, slots] + self.head_b.reshape(-1)[slots] - targets
-        dq = np.zeros((batch, len(head_w)))
-        dq[rows, slots] = 2.0 * diff / batch
+        q = emb.dot(self._head_w2_t)                       # (B, 2K): every head slot
+        q += self._head_b2
+        # row i's taken slot as an index into q.ravel(): 2 * (i*K + phase) + action
+        taken = self._rows(batch) + phases
+        taken *= 2
+        taken += actions
+        diff = q.take(taken)
+        diff -= targets
+        dq = np.zeros(q.shape)
+        scaled = np.multiply(diff, 2.0)
+        scaled /= batch
+        dq.put(taken, scaled)
         if out is None:
             grad = np.empty(self.theta.size)
-            pieces = self._pieces(grad)
+            trunk_grads, head_w_grad, head_b_grad = self._grad_views(grad)
         else:
-            if self._out_pieces[0] is not out:  # learn steps pass the same vector
-                self._out_pieces = (out, self._pieces(out))
-            grad, pieces = self._out_pieces
-        *trunk_grads, head_w_grad, head_b_grad = pieces
-        np.matmul(dq.T, emb, out=head_w_grad.reshape(head_w.shape))
-        dq.sum(axis=0, out=head_b_grad.reshape(-1))
-        g = dq @ head_w
-        for i in range(len(self._trunk_wb) - 1, -1, -1):
+            if self._out_grads[0] is not out:  # learn steps pass the same vector
+                self._out_grads = (out, self._grad_views(out))
+            grad, (trunk_grads, head_w_grad, head_b_grad) = self._out_grads
+        dq.T.dot(emb, head_w_grad)
+        np.add.reduce(dq, 0, out=head_b_grad)
+        g = dq.dot(self._head_w2)
+        for i in range(len(self._layers) - 1, -1, -1):
             g *= acts[i + 1] > 0         # relu'(z) = [z > 0] = [relu(z) > 0]
-            np.matmul(g.T, acts[i], out=trunk_grads[2 * i])
-            g.sum(axis=0, out=trunk_grads[2 * i + 1])
+            w_grad, b_grad = trunk_grads[i]
+            g.T.dot(acts[i], w_grad)
+            np.add.reduce(g, 0, out=b_grad)
             if i:                        # the input's own gradient is never read
-                g = g @ self._trunk_wb[i][0]
-        loss = float(diff @ diff) / batch
+                g = g.dot(self._layers[i][0])
+        loss = float(diff.dot(diff)) / batch
         return loss, (self._listed(grad) if out is None else out)
 
 
@@ -335,8 +377,11 @@ def bellman_targets(target_net: QNetwork, rewards: np.ndarray,
     rewards = np.asarray(rewards, dtype=float)
     if gamma == 0.0:
         return rewards.copy()
-    future = target_net.q_batch(next_states, next_phases).max(axis=1)
-    return rewards + gamma * future
+    q = target_net.q_batch(next_states, next_phases)
+    future = np.maximum(q[:, 0], q[:, 1])
+    future *= gamma
+    future += rewards                # r + gamma * max: addition commutes exactly
+    return future
 
 
 def select_action(q_pair: Callable[[], np.ndarray], epsilon: float,
@@ -377,7 +422,15 @@ class TransitionBatch:
 
 
 class ReplayMemory:
-    """Fixed-capacity ring buffer with uniform sampling."""
+    """Fixed-capacity ring buffer with uniform sampling.
+
+    The phase, action and next phase share one (3, capacity) array, so a
+    sample is four gathers: states, next states, the integers and the
+    rewards.  States and next states stay two arrays: as one
+    (2, capacity, D) array they raised a short run's peak resident memory
+    by about 11 MiB, since numpy asks for huge pages on arrays of 4 MiB or
+    more.
+    """
 
     def __init__(self, capacity: int, state_dim: int,
                  rng: np.random.Generator) -> None:
@@ -386,12 +439,15 @@ class ReplayMemory:
         self.capacity = capacity
         self.rng = rng
         self.states = np.zeros((capacity, state_dim))
-        self.phases = np.zeros(capacity, dtype=np.int64)
-        self.actions = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity)
         self.next_states = np.zeros((capacity, state_dim))
-        self.next_phases = np.zeros(capacity, dtype=np.int64)
+        self._ints = np.zeros((3, capacity), dtype=np.int64)
+        self.rewards = np.zeros(capacity)
         self.insertion_count = 0
+
+    # views are taken on each read, so copies and pickles need no rebinding
+    phases = property(lambda self: self._ints[0])
+    actions = property(lambda self: self._ints[1])
+    next_phases = property(lambda self: self._ints[2])
 
     def __len__(self) -> int:
         return min(self.insertion_count, self.capacity)
@@ -400,11 +456,12 @@ class ReplayMemory:
              next_state: np.ndarray, next_phase: int) -> None:
         i = self.insertion_count % self.capacity
         self.states[i] = state
-        self.phases[i] = phase
-        self.actions[i] = action
-        self.rewards[i] = reward
         self.next_states[i] = next_state
-        self.next_phases[i] = next_phase
+        ints = self._ints
+        ints[0, i] = phase
+        ints[1, i] = action
+        ints[2, i] = next_phase
+        self.rewards[i] = reward
         self.insertion_count += 1
 
     def sample(self, batch_size: int) -> TransitionBatch:
@@ -412,15 +469,9 @@ class ReplayMemory:
         if size < 1:
             raise ConfigError("replay: cannot sample from an empty memory")
         idx = self.rng.integers(0, size, size=batch_size)
-        # take gathers matrix rows faster than fancy indexing; columns index faster
-        return TransitionBatch(
-            states=self.states.take(idx, axis=0),
-            phases=self.phases[idx],
-            actions=self.actions[idx],
-            rewards=self.rewards[idx],
-            next_states=self.next_states.take(idx, axis=0),
-            next_phases=self.next_phases[idx],
-        )
+        ints = self._ints.take(idx, axis=1)
+        return TransitionBatch(self.states.take(idx, axis=0), ints[0], ints[1],
+                               self.rewards[idx], self.next_states.take(idx, axis=0), ints[2])
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +582,7 @@ class DQNAgent:
         loss, grad = self.qnet.loss_and_grads(
             batch.states, batch.phases, batch.actions, targets, out=self._grad,
         )
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise TrainingError(f"divergence: loss {loss} at learn step {self.learn_steps}")
         adam_step(self.adam, self.qnet.theta, grad)
         self.learn_steps += 1

@@ -37,7 +37,7 @@ from .core import (
 )
 from .classic import WebsterParams
 from . import demand as demand_mod
-from .sim import validate_demand
+from .sim import link_time_too_short, validate_demand
 
 CONTROLLER_KINDS = ("fixedtime", "sotl", "webster", "rl")
 DEMAND_KINDS = ("uniform", "peaked", "file")
@@ -294,7 +294,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from None
     for key, section in demands:
-        build_demand_fn(section, network, 0, run.horizon_s, key=key)
+        horizons = {run.horizon_s}
+        if key == "demand" and ctrl.kind == "rl":   # the training episodes' demand
+            horizons.add(cfg.train.horizon_s or run.horizon_s)
+        if build_demand_fn(section, network, 0, run.horizon_s, key=key).multi_hop:
+            for horizon_s in sorted(horizons):
+                if link_time_too_short(network.link_travel_time_s, horizon_s):
+                    raise ConfigError(
+                        f"network.road_length_m: a link time of "
+                        f"{network.link_travel_time_s} s puts a vehicle's next hop in the "
+                        f"step it departs at a horizon of {horizon_s} s; {key} has "
+                        f"multi-hop routes, which need a longer link"
+                    )
     try:
         build_webster_params(cfg, network.intersections[0])
     except (ValueError, TypeError) as exc:
@@ -392,7 +403,8 @@ def build_demand_fn(
     section's name in the config; the returned function only draws.
     Generated vehicles run straight through the grid from their entry lane.
     A per-lane rate mapping covers only the lanes it names; the remaining
-    entry lanes receive no traffic.
+    entry lanes receive no traffic.  The returned function's ``multi_hop``
+    tells whether any resolved route crosses a link.
     """
     if section.kind == "file":
         try:
@@ -402,7 +414,12 @@ def build_demand_fn(
             raise ConfigError(f"{key}.path: cannot read {section.path}: {exc.strerror}") from None
         except ValueError as exc:
             raise ConfigError(f"{key}.path: {exc}") from None
-        return lambda episode: vehicles
+
+        def replay(episode: int) -> list[Vehicle]:
+            return vehicles
+
+        replay.multi_hop = any(len(veh.route) > 1 for veh in vehicles)
+        return replay
 
     entry_lanes = _entry_lanes(network)
     routes = {lane: demand_mod.straight_route(network, lane) for lane in entry_lanes}
@@ -428,6 +445,7 @@ def build_demand_fn(
         seed = _mix_seed(section.seed, run_seed, episode if vary else 0)
         return demand_mod.realize(spec(seed), routes.__getitem__)
 
+    make.multi_hop = any(len(route) > 1 for route in routes.values())
     return make
 
 

@@ -8,6 +8,7 @@ inputs may be single vectors or (batch, dim) matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -157,7 +158,7 @@ class AdamState:
     step_count: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # two rows of working space for adam_step, made on its first call
+    # two rows of working space and a row of zeros for adam_step, made on its first call
     scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -182,14 +183,15 @@ def adam_step(state: AdamState, parameters: np.ndarray,
             f"must match parameters {parameters.shape}"
         )
     t = state.step_count + 1
-    if not np.isfinite(gradients).all():
+    if state.scratch is None or state.scratch.shape[1:] != parameters.shape:
+        state.scratch = np.zeros((3, *parameters.shape))
+    step, denom, zeros = state.scratch
+    # g . 0 is NaN exactly when g holds an inf or a NaN: one call, no temporary
+    if math.isnan(np.vdot(gradients, zeros)):
         raise TrainingError(
             f"non-finite gradient (|g|_max={np.max(np.abs(gradients))}) at step {t}"
         )
     state.step_count = t
-    if state.scratch is None or state.scratch.shape[1:] != parameters.shape:
-        state.scratch = np.empty((2, *parameters.shape))
-    step, denom = state.scratch
     m, v = state.m, state.v
     m *= state.beta1
     np.multiply(gradients, 1.0 - state.beta1, out=step)

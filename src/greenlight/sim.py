@@ -508,6 +508,23 @@ def validate_demand(network: NetworkConfig, demand: Sequence[Vehicle]) -> None:
             raise ConfigError(f"demand_route: vehicle {veh.id} enters an intersection twice")
 
 
+def link_time_too_short(link_travel_time_s: float, horizon_s: int) -> bool:
+    """Whether a next hop can land on a step already simulated.
+
+    A next hop is scheduled at departure step + link time; it must land on a
+    later step, or the intersection may already have simulated it.  How much
+    of a tiny link time rounding absorbs does not grow steadily with the
+    departure step (a 1.000001e-9 s link is lost at steps 16 to 31 but not
+    at 32 to 59), so every step of the horizon is tested, unless the link
+    takes a whole second.  Only multi-hop routes cross a link, so only they make a true
+    answer an error.
+    """
+    if link_travel_time_s >= 1.0:
+        return False
+    return any(IntersectionSim.entry_step(t + link_travel_time_s) <= t
+               for t in range(horizon_s))
+
+
 def run_episode(
     network: NetworkConfig,
     controllers: Sequence[BaseController],
@@ -529,11 +546,7 @@ def run_episode(
     if len(controllers) != n:
         raise ConfigError(f"controllers: expected {n} controllers, got {len(controllers)}")
     validate_demand(network, demand)
-    # A next hop is scheduled at departure step + link time; it must land on a
-    # later step, or the intersection may already have simulated it.  Rounding
-    # absorbs the most of a tiny link time at the last step, so test there.
-    last = horizon_s - 1
-    if (IntersectionSim.entry_step(last + network.link_travel_time_s) <= last
+    if (link_time_too_short(network.link_travel_time_s, horizon_s)
             and any(len(veh.route) > 1 for veh in demand)):
         raise ConfigError(
             f"network_link: link_travel_time_s={network.link_travel_time_s} puts a "

@@ -369,6 +369,10 @@ def test_rl_run_with_unroutable_deploy_demand_fails_before_training(tmp_path, ca
     ("fixedtime", "network", {"saturation_headway_s": 0}, "network: saturation_headway"),
     ("fixedtime", "network", {"yellow_s": -1}, "network: transition_time"),
     ("fixedtime", "network", {"min_green_s": 0}, "network: min_green"),
+    ("fixedtime", "network", {"kind": "grid", "rows": 1, "cols": 2, "road_length_m": 1.0e-12},
+     "network.road_length_m: a link time of 1e-13 s"),
+    ("rl", "network", {"kind": "grid", "rows": 1, "cols": 2, "road_length_m": 1.0e-12},
+     "network.road_length_m: a link time of 1e-13 s"),
     ("fixedtime", "controller", {"phase_duration_s": 0}, "controller.phase_duration_s"),
     ("webster", "controller", {"phase_duration_s": -1}, "controller.phase_duration_s"),
     ("rl", "agent", {"hidden_dims": []}, "controller.agent: agent_hidden_dims"),

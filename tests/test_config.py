@@ -456,6 +456,7 @@ FAULTS = [   # (section, key, value): one bad or quoted field
     ("network", "road_length_m", -5), ("network", "free_flow_speed_mps", 0),
     ("network", "saturation_headway_s", 0), ("network", "yellow_s", -1),
     ("network", "min_green_s", 0), ("network", "road_length_m", "300"),
+    ("network", "road_length_m", 1.0e-12),
     ("demand", "rate_vph", "300"), ("demand", "peak_vph", -5),
     ("run", "horizon_s", "600"), ("run", "episodes", 0), ("train", "episodes", 0),
     ("train", "horizon_s", -5), ("train", "horizon_s", 0),
@@ -542,6 +543,7 @@ GRID_1X3 = {"kind": "grid", "rows": 1, "cols": 3}
 FILE = {"kind": "file", "path": "@demand"}
 DEPLOY_FILE = {"kind": "file", "path": "@deploy_demand"}
 RL = {"kind": "rl", "agent": AGENT_BASE}
+TINY_ROAD_M = 1.00001e-8    # a 1.00001e-9 s link: lost to rounding from step 64 on
 
 
 @settings(max_examples=150, deadline=None)
@@ -569,6 +571,21 @@ RL = {"kind": "rl", "agent": AGENT_BASE}
 @example(oracle_case({"network": GRID_1X3, "controller": RL, "train": {"episodes": 1},
                       "run": {"horizon_s": 60}, "deploy_demand": DEPLOY_FILE},
                      {"deploy_demand": HEADER + "0,1.0,0,W,T,2,W,T\n"}))
+# link times too short for a next hop: at every step; only past the evaluation
+# horizon, which refuses a learner that trains longer but not a controller that
+# never trains; within the evaluation horizon; midway but not at its last step;
+# and with single-hop routes only, which cross no link
+@example(oracle_case({"network": {**GRID_1X2, "road_length_m": 1.0e-12}}))
+@example(oracle_case({"network": {**GRID_1X2, "road_length_m": TINY_ROAD_M},
+                      "controller": RL, "run": {"horizon_s": 60}, "train": {"horizon_s": 300}}))
+@example(oracle_case({"network": {**GRID_1X2, "road_length_m": TINY_ROAD_M},
+                      "run": {"horizon_s": 300}, "train": {"horizon_s": 300}}))
+@example(oracle_case({"network": {**GRID_1X2, "road_length_m": TINY_ROAD_M},
+                      "run": {"horizon_s": 60}, "train": {"horizon_s": 300}}))
+@example(oracle_case({"network": {**GRID_1X2, "road_length_m": 1.000001e-8},
+                      "run": {"horizon_s": 60}}))   # lost at steps 16 to 31, not at 59
+@example(oracle_case({"network": {**GRID_1X3, "road_length_m": 1.0e-12}, "demand": FILE},
+                     {"demand": HEADER + "0,1.0,0,W,T\n1,2.0,1,N,T\n"}))
 # geometry, controller and agent values the builders refuse
 @example(oracle_case({"network": {"road_length_m": -5}}))
 @example(oracle_case({"network": {"free_flow_speed_mps": 0}}))

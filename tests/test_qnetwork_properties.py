@@ -108,3 +108,74 @@ def test_parameters_alias_theta_after_deepcopy_and_pickle(case):
             p[...] = 7.0 if k % 2 else 0.0   # head weights 0, head biases 7
         assert np.all(clone.q_batch(states, phases) == 7.0)
         assert np.array_equal(net.q_batch(states, phases), before)
+
+
+# ---------------------------------------------------------------------------
+# the agent's update and greedy choice against the plain reference, bit for bit
+
+from greenlight.agent import AgentConfig, DQNAgent  # noqa: E402
+from greenlight.core import build_standard_intersection  # noqa: E402
+from greenlight.neural import AdamState  # noqa: E402
+
+from test_update_identity import bits, ref_act, ref_learn_step, ref_q_values  # noqa: E402
+
+
+def agent_with_heads(heads, hidden, batch, gamma, seed):
+    """A DQN agent whose networks have ``heads`` phase heads.  No intersection
+    has a single phase, so a one-head agent gets its networks swapped in."""
+    inter = build_standard_intersection(4 if heads == 4 else 2)
+    config = AgentConfig(hidden_dims=hidden, batch_size=batch, gamma=gamma,
+                         replay_capacity=batch + 40, target_sync_interval=5,
+                         epsilon_decay_steps=40)
+    agent = DQNAgent(inter, config, seed=seed)
+    if heads != inter.phase_count:
+        agent.qnet = QNetwork(agent.state_dim, heads, hidden, rng=np.random.default_rng(seed))
+        agent.target = agent.qnet.copy()
+        agent.adam = AdamState.for_parameters(agent.qnet.theta, config.learning_rate)
+        agent._grad = np.empty_like(agent.qnet.theta)
+    return agent
+
+
+@st.composite
+def update_cases(draw):
+    heads = draw(st.sampled_from([1, 2, 4]))
+    hidden = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+    batch = draw(st.sampled_from([1, 2, 31, 32, 33, 64]))
+    gamma = draw(st.sampled_from([0.0, 0.5, 0.8, 1.0]))
+    return heads, hidden, batch, gamma, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(update_cases())
+def test_learn_step_and_greedy_act_match_the_reference_bit_for_bit(case):
+    heads, hidden, batch, gamma, seed = case
+    agent, ref = (agent_with_heads(heads, hidden, batch, gamma, seed) for _ in range(2))
+    rng = np.random.default_rng(seed)
+    dim, lanes = agent.state_dim, agent.intersection.lane_count
+
+    def transition():
+        state = rng.random(dim).round(2) * 12   # counts and occupancy-like fractions
+        return state, int(rng.integers(heads))
+
+    state, phase = transition()
+    for step in range(batch + 12):
+        next_state, next_phase = transition()
+        action, reward = int(rng.integers(2)), -float(next_state[:lanes].sum())
+        for a in (agent, ref):
+            a.remember(state, phase, action, reward, next_state, next_phase)
+        loss, ref_loss = agent.learn_step(), ref_learn_step(ref)
+        assert (loss is None) == (ref_loss is None) == (step + 1 < batch)
+        if loss is not None:
+            assert loss.hex() == ref_loss.hex()
+        state, phase = next_state, next_phase
+    assert agent.learn_steps == ref.learn_steps == 13
+    for mine, theirs in ((agent.qnet.theta, ref.qnet.theta), (agent.target.theta, ref.target.theta),
+                         (agent.adam.m, ref.adam.m), (agent.adam.v, ref.adam.v)):
+        assert bits(mine) == bits(theirs)
+
+    for _ in range(20):
+        state, phase = transition()
+        flags = dict(training=False, transition_in_progress=False, min_green_met=True)
+        action, greedy = ref_act(ref, state, phase, **flags)
+        assert greedy and agent.act(state, phase, **flags) == action
+        assert bits(agent.qnet.q_values(state, phase)) == bits(ref_q_values(ref.qnet, state, phase))

@@ -25,6 +25,7 @@ from greenlight.sim import (
     BaseController,
     IntersectionSim,
     SimulationError,
+    link_time_too_short,
     run_episode,
     validate_demand,
 )
@@ -441,6 +442,12 @@ def test_zero_link_time_with_multi_hop_routes_is_rejected_before_the_first_step(
     flat = dataclasses.replace(grid, link_travel_time_s=0.0)
     with pytest.raises(ConfigError, match="link_travel_time_s"):
         run_episode(flat, [Recording(), Recording()], demand, horizon_s=400)
+    assert decisions == []
+    # rounding loses this link time at steps 16 to 31 but not at the last step, 59
+    tiny = dataclasses.replace(grid, link_travel_time_s=1.000001e-9)
+    assert link_time_too_short(1.000001e-9, 21) and not link_time_too_short(1.000001e-9, 16)
+    with pytest.raises(ConfigError, match="link_travel_time_s"):
+        run_episode(tiny, [Recording(), Recording()], demand, horizon_s=60)
     assert decisions == []
     # single-hop demand needs no link and still runs
     run_episode(flat, [Recording(), Recording()], [Vehicle(0, 0.0, route[:1])], horizon_s=5)
