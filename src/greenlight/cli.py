@@ -4,9 +4,9 @@ Subcommands:
     run              evaluate a configured controller, writing results.csv
     train            train a learning controller and write its curve
     sweep            the configured sweep (agent ablation or SOTL threshold
-                     grid), every point validated before the first run
+                     grid), resolved once before the first run
     gradcheck        finite-difference check of randomized value networks
-    validate-config  parse + validate a config file and exit
+    validate-config  parse and resolve a config file, then exit
     show-defaults    print the full default configuration as YAML
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error,
@@ -94,7 +94,6 @@ def cmd_run(args) -> int:
         cfg.controller.kind = args.controller
     if args.episodes is not None:
         cfg.run.episodes = args.episodes
-    config_mod.validate_config(cfg)
     try:
         rows, paths = harness.run_experiment(cfg, check=args.check)
     except AssertionError as exc:
@@ -112,7 +111,6 @@ def cmd_train(args) -> int:
         raise ConfigError("train: controller.kind must be 'rl'")
     if args.episodes is not None:
         cfg.train.episodes = args.episodes
-    config_mod.validate_config(cfg)
     rows, paths = harness.run_experiment(cfg)
     for path in paths:
         print(path)
@@ -151,6 +149,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_validate_config(args) -> int:
     cfg = config_mod.load_config(args.config)
+    config_mod.resolve(cfg)
     n = cfg.network
     shape = "single intersection" if n.kind == "single" else f"{n.rows}x{n.cols} grid"
     print(f"{args.config}: OK ({shape}, {n.phases} phases, "

@@ -11,13 +11,20 @@ A config document has four sections (plus two optional ones):
                  differ from the training demand, e.g. distribution-shift
                  experiments
 
+A config is taken in two steps.  `parse_config` checks the document alone:
+schema, types, ranges and kinds, with no builder call and no file read.
+`resolve` checks it again (callers may have changed it since) and then builds
+what a run needs, once, into a `Plan`: the network, each demand section
+resolved against it, the agent settings, and the checks that need them.
+
 Errors raise ConfigError with a dotted key path (`demand.rate_vph: ...`);
 YAML syntax errors carry the line reported by the parser.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import yaml
@@ -42,6 +49,7 @@ from .sim import link_time_too_short, validate_demand
 CONTROLLER_KINDS = ("fixedtime", "sotl", "webster", "rl")
 DEMAND_KINDS = ("uniform", "peaked", "file")
 NETWORK_KINDS = ("single", "grid")
+SWEEP_KINDS = ("ablation", "sotl-grid")
 
 
 def parse_lane_label(label: str, intersection: int = 0) -> LaneId:
@@ -115,6 +123,13 @@ class TrainSection:
 
 
 @dataclass
+class SweepSection:
+    kind: str = "ablation"
+    theta_red: list[float] = field(default_factory=lambda: [2.0, 4.0, 6.0])     # sotl-grid
+    theta_green: list[float] = field(default_factory=lambda: [1.0, 2.0, 3.0])
+
+
+@dataclass
 class ExperimentConfig:
     network: NetworkSection
     demand: DemandSection
@@ -122,8 +137,15 @@ class ExperimentConfig:
     run: RunSection
     train: TrainSection
     deploy_demand: DemandSection | None = None
-    sweep: dict = field(default_factory=dict)
+    sweep: SweepSection = field(default_factory=SweepSection)
     source_path: str | None = None
+
+
+def _check_keys(section_cls: type, data: dict, key: str) -> None:
+    valid = {f.name for f in fields(section_cls)}
+    for k in data:
+        if k not in valid:
+            raise ConfigError(f"{key}.{k}: unknown key (expected one of {sorted(valid)})")
 
 
 def _fill(section_cls, data: Any, key: str):
@@ -131,10 +153,7 @@ def _fill(section_cls, data: Any, key: str):
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{key}: expected a mapping, got {type(data).__name__}")
-    valid = {f.name for f in section_cls.__dataclass_fields__.values()}
-    for k in data:
-        if k not in valid:
-            raise ConfigError(f"{key}.{k}: unknown key (expected one of {sorted(valid)})")
+    _check_keys(section_cls, data, key)
     try:
         return section_cls(**data)
     except TypeError as exc:
@@ -142,6 +161,8 @@ def _fill(section_cls, data: Any, key: str):
 
 
 def parse_config(data: dict, source_path: str | None = None) -> ExperimentConfig:
+    """The config a document describes, after the document checks; nothing
+    is built and no file is read (`resolve` does that)."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     known = {"network", "demand", "controller", "run", "train", "deploy_demand", "sweep"}
@@ -158,10 +179,10 @@ def parse_config(data: dict, source_path: str | None = None) -> ExperimentConfig
             _fill(DemandSection, data["deploy_demand"], "deploy_demand")
             if data.get("deploy_demand") is not None else None
         ),
-        sweep=data.get("sweep") or {},
+        sweep=_fill(SweepSection, data.get("sweep"), "sweep"),
         source_path=source_path,
     )
-    validate_config(cfg)
+    _check_document(cfg)
     return cfg
 
 
@@ -232,18 +253,13 @@ def _check_demand_numbers(section: DemandSection, key: str) -> None:
                               f"numbers, got {window!r}")
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Reject every config that `run` would fail on, before an episode starts.
-
-    After the scalar and type checks, the network, every demand section and
-    the Webster settings are built by the builders `run` calls, so what they
-    refuse is refused here, under its section's key.
-    """
-    net, dem, ctrl, run = cfg.network, cfg.demand, cfg.controller, cfg.run
-    demands = [("demand", dem)] + ([("deploy_demand", cfg.deploy_demand)]
-                                   if cfg.deploy_demand else [])
-    for key, section in [("network", net), ("controller", ctrl), ("run", run),
-                         ("train", cfg.train)] + demands:
+def _check_document(cfg: ExperimentConfig) -> None:
+    """The checks that need nothing but the config: types, ranges and kinds."""
+    net, run, sweep = cfg.network, cfg.run, cfg.sweep
+    demands = [("demand", cfg.demand)] + ([("deploy_demand", cfg.deploy_demand)]
+                                          if cfg.deploy_demand else [])
+    for key, section in [("network", net), ("run", run), ("train", cfg.train),
+                         ("sweep", sweep)] + demands:
         _check_types(type(section), vars(section), key)
     for key, section in demands:
         _check_demand_numbers(section, key)
@@ -263,18 +279,25 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"{section_name}.process: {section.process!r} "
                 "(expected deterministic or poisson)"
             )
-    if ctrl.kind not in CONTROLLER_KINDS:
-        raise ConfigError(f"controller.kind: {ctrl.kind!r} not in {CONTROLLER_KINDS}")
-    if run.horizon_s < 1:
-        raise ConfigError("run.horizon_s: must be >= 1")
-    if run.episodes < 1:
-        raise ConfigError("run.episodes: must be >= 1")
+    train_horizon = 1 if cfg.train.horizon_s is None else cfg.train.horizon_s
+    for key, count in (("run.horizon_s", run.horizon_s), ("run.episodes", run.episodes),
+                       ("train.episodes", cfg.train.episodes), ("train.horizon_s", train_horizon)):
+        if count < 1:
+            raise ConfigError(f"{key}: must be >= 1")
     if not run.seeds:
         raise ConfigError("run.seeds: need at least one seed")
-    if cfg.train.episodes < 1:
-        raise ConfigError("train.episodes: must be >= 1")
-    if cfg.train.horizon_s is not None and cfg.train.horizon_s < 1:
-        raise ConfigError("train.horizon_s: must be >= 1")
+    if sweep.kind not in SWEEP_KINDS:
+        raise ConfigError(f"sweep.kind: {sweep.kind!r} not in {SWEEP_KINDS}")
+    for key in ("theta_red", "theta_green"):
+        if not getattr(sweep, key):
+            raise ConfigError(f"sweep.{key}: need at least one threshold")
+    _check_controller(cfg.controller)
+
+
+def _check_controller(ctrl: ControllerSection) -> None:
+    _check_types(ControllerSection, vars(ctrl), "controller")
+    if ctrl.kind not in CONTROLLER_KINDS:
+        raise ConfigError(f"controller.kind: {ctrl.kind!r} not in {CONTROLLER_KINDS}")
     if ctrl.phase_duration_s <= 0:
         raise ConfigError("controller.phase_duration_s: must be > 0")
     for key in ("theta_red", "theta_green"):
@@ -284,20 +307,66 @@ def validate_config(cfg: ExperimentConfig) -> None:
                                      ("controller.webster", WebsterParams, ctrl.webster)):
         if not isinstance(values, dict):
             raise ConfigError(f"{key}: expected a mapping, got {values!r}")
+        _check_keys(section_cls, values, key)
         _check_types(section_cls, values, key)
+
+
+# ---------------------------------------------------------------------------
+# resolution
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A config resolved once, before any run: what every seed and every
+    sweep point draws from.  Both demands are resolved over `run.horizon_s`,
+    and training draws `demand` too, whatever `train.horizon_s` is;
+    `deploy_demand` is `demand` itself when the config has no such section.
+    """
+    cfg: ExperimentConfig
+    network: NetworkConfig
+    agent: AgentConfig
+    demand: ResolvedDemand
+    deploy_demand: ResolvedDemand
+
+    def with_controller(self, controller: ControllerSection) -> Plan:
+        """This plan under another controller section, which alone is resolved."""
+        _check_controller(controller)
+        cfg = replace(self.cfg, controller=controller)
+        return replace(self, cfg=cfg, agent=_resolve_controller(
+            cfg, self.network, self.demand, self.deploy_demand))
+
+
+def resolve(cfg: ExperimentConfig) -> Plan:
+    """Reject every config that `run` would fail on, before an episode
+    starts, and build, once, what it runs from.  What a builder refuses is
+    refused under its section's key."""
+    _check_document(cfg)
     try:
-        AgentConfig.from_dict(ctrl.agent)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"controller.agent: {exc}") from None
-    try:
-        network = _network_of(net)
+        network = build_network(cfg)
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from None
-    for key, section in demands:
-        horizons = {run.horizon_s}
-        if key == "demand" and ctrl.kind == "rl":   # the training episodes' demand
-            horizons.add(cfg.train.horizon_s or run.horizon_s)
-        if build_demand_fn(section, network, 0, run.horizon_s, key=key).multi_hop:
+    horizon = cfg.run.horizon_s
+    demand = resolve_demand(cfg.demand, network, horizon, key="demand")
+    deploy = (resolve_demand(cfg.deploy_demand, network, horizon, key="deploy_demand")
+              if cfg.deploy_demand is not None else demand)
+    return Plan(cfg, network, _resolve_controller(cfg, network, demand, deploy), demand, deploy)
+
+
+def _resolve_controller(cfg: ExperimentConfig, network: NetworkConfig,
+                        demand: ResolvedDemand, deploy: ResolvedDemand) -> AgentConfig:
+    """The agent settings, after the other checks that build on the checked
+    controller section: the Webster settings, and the link time at every
+    horizon a multi-hop demand runs for, the training horizon only for `rl`."""
+    ctrl = cfg.controller
+    try:
+        agent = AgentConfig.from_dict(ctrl.agent)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"controller.agent: {exc}") from None
+    horizon = cfg.run.horizon_s
+    train_horizon = (cfg.train.horizon_s or horizon) if ctrl.kind == "rl" else horizon
+    for key, resolved, horizons in (("demand", demand, {horizon, train_horizon}),
+                                    ("deploy_demand", deploy, {horizon})):
+        if resolved.multi_hop:
             for horizon_s in sorted(horizons):
                 if link_time_too_short(network.link_travel_time_s, horizon_s):
                     raise ConfigError(
@@ -310,6 +379,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         build_webster_params(cfg, network.intersections[0])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"controller.webster: {exc}") from None
+    return agent
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +387,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def build_network(cfg: ExperimentConfig) -> NetworkConfig:
-    return _network_of(cfg.network)
-
-
-def _network_of(net: NetworkSection) -> NetworkConfig:
+    net = cfg.network
     base = build_standard_intersection(
         net.phases,
         road_length_m=net.road_length_m,
@@ -343,41 +410,36 @@ def _entry_lanes(network: NetworkConfig) -> list[LaneId]:
             for lane in intersection.lanes if (i, lane.approach) not in fed]
 
 
+def _entry_lane(label: Any, entry_lanes: Sequence[LaneId], key: str) -> LaneId:
+    """The entry lane a label names; an error under `key` for any other."""
+    try:
+        lane = parse_lane_label(str(label))
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if lane not in entry_lanes:
+        raise ConfigError(f"{key}: {label} is not an entry lane")
+    return lane
+
+
 def _mapped_rates(rates: dict, entry_lanes: Sequence[LaneId], key: str
                   ) -> dict[LaneId, float]:
     """Every entry lane's rate under a per-lane `rate_vph` mapping; lanes it
-    does not name get 0.  A label that is not an entry lane is an error."""
+    does not name get 0."""
     out = {lane: 0.0 for lane in entry_lanes}
     for label, rate in rates.items():
-        try:
-            lane = parse_lane_label(str(label))
-        except ConfigError as exc:
-            raise ConfigError(f"{key}.rate_vph: {exc}") from None
-        if lane not in out:
-            raise ConfigError(f"{key}.rate_vph: {label} is not an entry lane")
-        out[lane] = float(rate)
+        out[_entry_lane(label, entry_lanes, f"{key}.rate_vph")] = float(rate)
     return out
 
 
 def _peak_lanes(labels: Any, entry_lanes: Sequence[LaneId], key: str
                 ) -> list[LaneId] | None:
     """The lanes a peaked section's windows apply to, or None (an absent or
-    empty list) for every entry lane.  A label that is not an entry lane is
-    an error."""
+    empty list) for every entry lane."""
     if labels is None:
         return None
     if not isinstance(labels, (list, tuple)):
         raise ConfigError(f"{key}.peak_lanes: expected a list of lane labels, got {labels!r}")
-    lanes = []
-    for label in labels:
-        try:
-            lane = parse_lane_label(str(label))
-        except ConfigError as exc:
-            raise ConfigError(f"{key}.peak_lanes: {exc}") from None
-        if lane not in entry_lanes:
-            raise ConfigError(f"{key}.peak_lanes: {label} is not an entry lane")
-        lanes.append(lane)
-    return lanes or None
+    return [_entry_lane(label, entry_lanes, f"{key}.peak_lanes") for label in labels] or None
 
 
 def _mix_seed(*parts: int) -> int:
@@ -387,25 +449,33 @@ def _mix_seed(*parts: int) -> int:
     return out
 
 
-def build_demand_fn(
-    section: DemandSection,
-    network: NetworkConfig,
-    run_seed: int,
-    horizon_s: float,
-    *,
-    key: str = "demand",
-) -> Callable[[int], list[Vehicle]]:
-    """Episode-indexed demand source, deterministic per (section, run_seed).
+@dataclass(frozen=True)
+class ResolvedDemand:
+    """A demand section resolved against one network and one horizon: the
+    checked vehicles of a file, which every draw replays, or an arrival
+    schedule (`spec`: each entry lane's rate windows, peaks included) and one
+    route per entry lane.  ``multi_hop``: whether any route crosses a link."""
+    multi_hop: bool
+    vehicles: tuple[Vehicle, ...] = ()
+    spec: demand_mod.DemandSpec | None = None
+    routes: dict[LaneId, tuple[LaneId, ...]] = field(default_factory=dict)
+    seed: int = 0
+    vary: bool = False   # a fresh Poisson draw each episode
 
-    The section is resolved here, once: its entry lanes and their routes,
-    rate mapping, peak lanes and windows, or its file, loaded and route-checked.
-    What does not resolve raises a ConfigError prefixed with ``key``, the
-    section's name in the config; the returned function only draws.
-    Generated vehicles run straight through the grid from their entry lane.
-    A per-lane rate mapping covers only the lanes it names; the remaining
-    entry lanes receive no traffic.  The returned function's ``multi_hop``
-    tells whether any resolved route crosses a link.
-    """
+    def draw(self, run_seed: int, episode: int) -> list[Vehicle]:
+        """One episode's vehicles, deterministic per (section, run_seed, episode)."""
+        if self.spec is None:
+            return list(self.vehicles)
+        seed = _mix_seed(self.seed, run_seed, episode if self.vary else 0)
+        return demand_mod.realize(replace(self.spec, seed=seed), self.routes.__getitem__)
+
+
+def resolve_demand(section: DemandSection, network: NetworkConfig, horizon_s: float,
+                   *, key: str) -> ResolvedDemand:
+    """Resolve a demand section once; what does not resolve raises a
+    ConfigError prefixed with ``key``, the section's name in the config.
+    Generated vehicles run straight through the grid from their entry lane;
+    a per-lane rate mapping leaves the entry lanes it does not name empty."""
     if section.kind == "file":
         try:
             vehicles = demand_mod.load_demand_csv(section.path, network)
@@ -414,39 +484,30 @@ def build_demand_fn(
             raise ConfigError(f"{key}.path: cannot read {section.path}: {exc.strerror}") from None
         except ValueError as exc:
             raise ConfigError(f"{key}.path: {exc}") from None
-
-        def replay(episode: int) -> list[Vehicle]:
-            return vehicles
-
-        replay.multi_hop = any(len(veh.route) > 1 for veh in vehicles)
-        return replay
+        return ResolvedDemand(any(len(veh.route) > 1 for veh in vehicles), tuple(vehicles))
 
     entry_lanes = _entry_lanes(network)
     routes = {lane: demand_mod.straight_route(network, lane) for lane in entry_lanes}
     process = demand_mod.ArrivalProcess(section.process)
-    vary = section.fresh_each_episode and section.process == "poisson"
     if section.kind == "uniform":
         rates = (_mapped_rates(section.rate_vph, entry_lanes, key)
                  if isinstance(section.rate_vph, dict) else float(section.rate_vph))
-
-        def spec(seed: int) -> demand_mod.DemandSpec:
-            return demand_mod.uniform_spec(rates, entry_lanes, float(horizon_s), process, seed)
+        spec = demand_mod.uniform_spec(rates, entry_lanes, float(horizon_s), process)
     else:  # peaked
         spans = demand_mod.peak_spans([tuple(w) for w in section.peak_windows], horizon_s,
                                       key=f"{key}.peak_windows")
-        peak_lanes = _peak_lanes(section.peak_lanes, entry_lanes, key)
+        spec = demand_mod.peaked_spec(section.base_vph, section.peak_vph, spans, entry_lanes,
+                                      float(horizon_s), process,
+                                      peak_lanes=_peak_lanes(section.peak_lanes, entry_lanes, key))
+    return ResolvedDemand(any(len(route) > 1 for route in routes.values()), spec=spec,
+                          routes=routes, seed=section.seed,
+                          vary=section.fresh_each_episode and section.process == "poisson")
 
-        def spec(seed: int) -> demand_mod.DemandSpec:
-            return demand_mod.peaked_spec(section.base_vph, section.peak_vph, spans,
-                                          entry_lanes, float(horizon_s), process, seed,
-                                          peak_lanes)
 
-    def make(episode: int) -> list[Vehicle]:
-        seed = _mix_seed(section.seed, run_seed, episode if vary else 0)
-        return demand_mod.realize(spec(seed), routes.__getitem__)
-
-    make.multi_hop = any(len(route) > 1 for route in routes.values())
-    return make
+def build_demand_fn(section: DemandSection, network: NetworkConfig, run_seed: int,
+                    horizon_s: float, *, key: str = "demand") -> Callable[[int], list[Vehicle]]:
+    """The episode-indexed draws of one run seed from the resolved section."""
+    return partial(resolve_demand(section, network, horizon_s, key=key).draw, run_seed)
 
 
 def build_webster_params(cfg: ExperimentConfig,
@@ -462,21 +523,13 @@ def build_webster_params(cfg: ExperimentConfig,
 
 def default_config_dict() -> dict:
     """All defaults, as a plain dict suitable for YAML dumping."""
-    cfg = ExperimentConfig(
-        network=NetworkSection(), demand=DemandSection(),
-        controller=ControllerSection(), run=RunSection(), train=TrainSection(),
-    )
+    webster = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in asdict(WebsterParams()).items()}
     return {
-        "network": vars(cfg.network).copy(),
-        "demand": vars(cfg.demand).copy(),
-        "controller": {
-            **{k: v for k, v in vars(cfg.controller).items() if k not in ("webster", "agent")},
-            "webster": {
-                k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(WebsterParams()).items()
-            },
-            "agent": AgentConfig().to_dict(),
-        },
-        "run": vars(cfg.run).copy(),
-        "train": vars(cfg.train).copy(),
+        "network": asdict(NetworkSection()),
+        "demand": asdict(DemandSection()),
+        "controller": {**asdict(ControllerSection()), "webster": webster,
+                       "agent": AgentConfig().to_dict()},
+        "run": asdict(RunSection()),
+        "train": asdict(TrainSection()),
     }

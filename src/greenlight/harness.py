@@ -29,15 +29,7 @@ from .agent import (
     write_curve_csv,
 )
 from .classic import FixedTimeController, SotlController, WebsterController
-from .config import (
-    ExperimentConfig,
-    build_demand_fn,
-    build_network,
-    build_webster_params,
-    validate_config,
-    _admits,
-    _mix_seed,
-)
+from .config import ExperimentConfig, Plan, build_webster_params, resolve, _mix_seed
 from .core import ConfigError, NetworkConfig, Vehicle
 from .metrics import EpisodeMetrics, check_identity, detect_convergence, pooled_metrics
 from .neural import gradient_check
@@ -155,70 +147,46 @@ class SeedOutcome:
     training: TrainingResult | None
 
 
-def run_seed(
-    cfg: ExperimentConfig,
-    network: NetworkConfig,
-    seed: int,
-    *,
-    controller_label: str | None = None,
-    check: bool = False,
-) -> SeedOutcome:
+def run_seed(plan: Plan, seed: int, *, controller_label: str | None = None,
+             check: bool = False) -> SeedOutcome:
     """Train (if learning) and evaluate one seed, returning result rows."""
+    cfg, network = plan.cfg, plan.network
     ctrl_kind = cfg.controller.kind
     label = controller_label or ctrl_kind
     horizon = cfg.run.horizon_s
-    demand_fn = build_demand_fn(cfg.demand, network, seed, horizon)
-    deploy_fn = (
-        build_demand_fn(cfg.deploy_demand, network, seed, horizon, key="deploy_demand")
-        if cfg.deploy_demand is not None else demand_fn
-    )
 
     training = None
     converged_at = None
     if ctrl_kind == "rl":
-        agents = make_agents(network, AgentConfig.from_dict(cfg.controller.agent), seed)
-        train_horizon = horizon if cfg.train.horizon_s is None else cfg.train.horizon_s
-        training = train(
-            agents, network, demand_fn, cfg.train.episodes, train_horizon,
-            base_seed=_mix_seed(seed, 1),
-        )
+        agents = make_agents(network, plan.agent, seed)
+        training = train(agents, network, partial(plan.demand.draw, seed), cfg.train.episodes,
+                         cfg.train.horizon_s or horizon, base_seed=_mix_seed(seed, 1))
         converged_at = detect_convergence(training.travel_times()).converged_at
         factory = lambda episode: [greedy_controller(a) for a in agents]
     else:
         factory = lambda episode: make_classic_controllers(cfg, network)
 
+    deploy = partial(plan.deploy_demand.draw, seed)
     metrics, _ = evaluate(
-        network, factory, lambda episode: deploy_fn(10_000 + episode),  # held-out draws
+        network, factory, lambda episode: deploy(10_000 + episode),  # held-out draws
         cfg.run.episodes, horizon, _mix_seed(seed, 2), check=check,
     )
-    rows = [
-        ResultRow(
-            controller=label,
-            seed=seed,
-            episode=episode,
-            avg_travel_time_s=m.avg_travel_time_s,
-            avg_queue=m.avg_queue,
-            throughput=m.throughput,
-            converged_at=converged_at,
-        )
-        for episode, m in enumerate(metrics)
-    ]
+    rows = [ResultRow(label, seed, episode, m.avg_travel_time_s, m.avg_queue, m.throughput,
+                      converged_at) for episode, m in enumerate(metrics)]
     return SeedOutcome(rows=rows, training=training)
 
 
-def _run_points(cfg: ExperimentConfig, points: Sequence[tuple[str, ExperimentConfig]],
-                out_dir: str | None, *, check: bool = False,
-                ) -> tuple[list[ResultRow], list[str]]:
-    """Run every seed of every (label, config) point on `cfg`'s network;
-    writes results.csv, then one training curve per learning point and seed."""
-    out_dir = out_dir if out_dir is not None else cfg.run.out_dir
+def _run_points(plan: Plan, points: Sequence[tuple[str, Plan]], out_dir: str | None,
+                *, check: bool = False) -> tuple[list[ResultRow], list[str]]:
+    """Run every seed of every (label, plan) point; writes results.csv, then
+    one training curve per learning point and seed."""
+    out_dir = out_dir if out_dir is not None else plan.cfg.run.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    network = build_network(cfg)
     rows: list[ResultRow] = []
     written: list[str] = []
     for label, point in points:
-        for seed in cfg.run.seeds:
-            outcome = run_seed(point, network, seed, controller_label=label, check=check)
+        for seed in plan.cfg.run.seeds:
+            outcome = run_seed(point, seed, controller_label=label, check=check)
             rows.extend(outcome.rows)
             if outcome.training is not None:
                 curve_path = os.path.join(out_dir, f"curve_{label}_{seed}.csv")
@@ -232,8 +200,10 @@ def _run_points(cfg: ExperimentConfig, points: Sequence[tuple[str, ExperimentCon
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    *, check: bool = False) -> tuple[list[ResultRow], list[str]]:
-    """Full protocol over all seeds; writes results.csv and training curves."""
-    return _run_points(cfg, [(cfg.controller.kind, cfg)], out_dir, check=check)
+    """Full protocol over all seeds, resolved once before the out dir is
+    made; writes results.csv and training curves."""
+    plan = resolve(cfg)
+    return _run_points(plan, [(cfg.controller.kind, plan)], out_dir, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -250,41 +220,30 @@ ABLATION_VARIANTS: dict[str, dict] = {
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | None = None,
               ) -> tuple[list[ResultRow], list[str]]:
-    """The configured sweep, every point validated before the first run.
+    """The configured sweep, resolved once before the first run; each point
+    re-resolves only its controller section.
 
     ``ablation`` runs each behavioural variant of the learning agent;
     ``sotl-grid`` runs SOTL at every pair of the two actuation thresholds.
     """
-    sweep = cfg.sweep or {}
-    kind = sweep.get("kind", "ablation")
-    if kind == "ablation":
-        if cfg.controller.kind != "rl":
+    plan = resolve(cfg)
+    sweep, ctrl = cfg.sweep, cfg.controller
+    if sweep.kind == "ablation":
+        if ctrl.kind != "rl":
             raise ConfigError("sweep.ablation: controller.kind must be 'rl'")
-        points = [
-            (label, replace(cfg, controller=replace(
-                cfg.controller, agent={**cfg.controller.agent, **overrides})))
-            for label, overrides in ABLATION_VARIANTS.items()
-        ]
-    elif kind == "sotl-grid":
-        reds = sweep.get("theta_red", [2.0, 4.0, 6.0])
-        greens = sweep.get("theta_green", [1.0, 2.0, 3.0])
-        for key, values in (("theta_red", reds), ("theta_green", greens)):
-            if not _admits("list[float]", values):
-                raise ConfigError(f"sweep.{key}: expected list[float], got {values!r}")
-        points = [
-            (f"sotl[r={red:g},g={green:g}]", replace(cfg, controller=replace(
-                cfg.controller, kind="sotl", theta_red=red, theta_green=green)))
-            for red in reds
-            for green in greens
-        ]
-    else:
-        raise ConfigError(f"sweep.kind: unknown sweep {kind!r}")
-    for label, point in points:
+        controllers = [(label, replace(ctrl, agent={**ctrl.agent, **overrides}))
+                       for label, overrides in ABLATION_VARIANTS.items()]
+    else:  # sotl-grid
+        controllers = [(f"sotl[r={red:g},g={green:g}]",
+                        replace(ctrl, kind="sotl", theta_red=red, theta_green=green))
+                       for red in sweep.theta_red for green in sweep.theta_green]
+    points = []
+    for label, controller in controllers:
         try:
-            validate_config(point)
+            points.append((label, plan.with_controller(controller)))
         except ConfigError as exc:
             raise ConfigError(f"sweep point {label}: {exc}") from None
-    return _run_points(cfg, points, out_dir)
+    return _run_points(plan, points, out_dir)
 
 
 # ---------------------------------------------------------------------------

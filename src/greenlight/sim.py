@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ConfigError, IntersectionConfig, LaneId, NetworkConfig, Vehicle, exit_approach
+from .core import ConfigError, IntersectionConfig, NetworkConfig, Vehicle, exit_approach
 
 log = logging.getLogger(__name__)
 
@@ -196,13 +196,6 @@ class BaseController:
         return None
 
 
-class AlwaysKeepController(BaseController):
-    """Never changes phase; useful for traces and degenerate baselines."""
-
-    def decide(self, view: StepView) -> int:
-        return KEEP
-
-
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.flags.writeable = False
     return values
@@ -285,12 +278,6 @@ class IntersectionSim:
     def entry_step(entry_time_s: float) -> int:
         """First whole second at or after the requested entry time."""
         return math.ceil(entry_time_s - 1e-9)
-
-    def schedule_arrival(self, vehicle_id: int, lane: LaneId, entry_time_s: float) -> None:
-        lane_idx = self.config.lane_index(lane)
-        if lane_idx is None:
-            raise ConfigError(f"demand_lane: lane {lane} does not exist at this intersection")
-        self._schedule(vehicle_id, lane_idx, self.entry_step(entry_time_s))
 
     def _schedule(self, vehicle_id: int, lane_idx: int, step: int) -> None:
         """File a vehicle to enter lane `lane_idx` at `step`, which must not

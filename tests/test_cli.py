@@ -6,8 +6,13 @@ import pytest
 import yaml
 
 from greenlight import cli, harness
+from greenlight import demand as demand_mod
 from greenlight.config import parse_config
+from greenlight.core import Approach, LaneId, Movement, Vehicle
 from greenlight.neural import GradCheckResult
+
+
+W_T = LaneId(0, Approach.W, Movement.T)
 
 
 def write_yaml(tmp_path, text, name="exp.yaml"):
@@ -169,23 +174,59 @@ def test_sweep_sotl_grid(tmp_path, capsys):
     assert "sotl[r=4,g=2]" in text
 
 
-@pytest.mark.parametrize("thresholds", [
-    "theta_red: [\"2\"]",
-    "theta_green: [1.0, \"2\"]",
-    "theta_red: 4",
+@pytest.mark.parametrize("sweep, key", [
+    ('{kind: sotl-grid, theta_red: ["2"]}', "sweep.theta_red: expected list[float]"),
+    ('{kind: sotl-grid, theta_green: [1.0, "2"]}', "sweep.theta_green: expected list[float]"),
+    ("{kind: sotl-grid, theta_red: 4}", "sweep.theta_red: expected list[float]"),
+    ("[1, 2]", "sweep: expected a mapping, got list"),
+    ("{kind: sotl-grid, theta_reds: [1.0]}", "sweep.theta_reds: unknown key"),
+    ("{kind: sotl-grid, theta_red: []}", "sweep.theta_red: need at least one threshold"),
+    ("{kind: bogus}", "sweep.kind: 'bogus' not in"),
 ])
-def test_sweep_sotl_grid_bad_threshold_exits_1(tmp_path, capsys, thresholds):
+def test_bad_sweep_section_exits_1(tmp_path, capsys, sweep, key):
     path = write_yaml(tmp_path, f"""\
         run:
           out_dir: {tmp_path}/out
+        sweep: {sweep}
+    """)
+    for command in ("validate-config", "sweep"):
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert "config error" in captured.err and key in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_demand_file_is_read_once_per_command(tmp_path, capsys, monkeypatch):
+    # `run` with three seeds and a 9-point sotl-grid `sweep` with three seeds
+    # each resolve the config once, and every seed and point draws from that
+    reads = []
+    load = demand_mod.load_demand_csv
+
+    def counted(path, network=None):
+        reads.append(path)
+        return load(path, network)
+
+    monkeypatch.setattr(demand_mod, "load_demand_csv", counted)
+    demand_path = tmp_path / "demand.csv"
+    demand_mod.save_demand_csv(demand_path, [Vehicle(i, 4.0 * i, (W_T,)) for i in range(10)])
+    path = write_yaml(tmp_path, f"""\
+        demand:
+          kind: file
+          path: {demand_path}
+        run:
+          horizon_s: 60
+          seeds: [0, 1, 2]
+          out_dir: {tmp_path}/out
         sweep:
           kind: sotl-grid
-          {thresholds}
     """)
-    assert cli.main(["sweep", "--config", path]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "config error" in err and "sweep.theta_" in err
-    assert not (tmp_path / "out").exists()
+    for command, rows in (("validate-config", None), ("run", 3), ("sweep", 27)):
+        reads.clear()
+        assert cli.main([command, "--config", path]) == cli.EXIT_OK
+        assert reads == [str(demand_path)], command
+        if rows is not None:
+            assert f"{rows} result rows" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""YAML experiment configuration: parsing, validation, and object builders."""
+"""YAML experiment configuration: parsing, resolution, and object builders."""
 
 import copy
+import dataclasses
 import os
+import pickle
 import re
 import tempfile
 import textwrap
@@ -15,6 +17,7 @@ from greenlight import config as config_mod
 from greenlight import harness
 from greenlight.agent import AgentConfig
 from greenlight.config import (
+    SweepSection,
     build_demand_fn,
     build_network,
     build_webster_params,
@@ -22,6 +25,7 @@ from greenlight.config import (
     load_config,
     parse_config,
     parse_lane_label,
+    resolve,
 )
 from greenlight.core import Approach, ConfigError, LaneId, Movement
 
@@ -78,7 +82,7 @@ def test_parse_config_empty_document_gives_defaults():
     assert cfg.run.seeds == [0]
     assert cfg.train.episodes == 50
     assert cfg.deploy_demand is None
-    assert cfg.sweep == {}
+    assert cfg.sweep == SweepSection("ablation", [2.0, 4.0, 6.0], [1.0, 2.0, 3.0])
 
 
 def test_parse_config_rejects_non_mapping_root():
@@ -109,7 +113,7 @@ def test_parse_config_reads_deploy_demand_and_sweep():
     })
     assert cfg.deploy_demand is not None
     assert cfg.deploy_demand.rate_vph == 300.0
-    assert cfg.sweep == {"kind": "sotl-grid"}
+    assert cfg.sweep.kind == "sotl-grid"
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +158,7 @@ def test_load_config_empty_file_is_default_config(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# validation
+# document checks (parse_config) and resolution (resolve)
 
 
 @pytest.mark.parametrize("doc, fragment", [
@@ -199,25 +203,102 @@ def test_load_config_empty_file_is_default_config(tmp_path):
      r"controller\.agent\.reward_weights"),
     ({"controller": {"webster": {"measurement_window_s": 60.5}}},
      r"controller\.webster\.measurement_window_s"),
+    ({"controller": {"webster": {"cycle_time": 60}}},
+     r"controller\.webster\.cycle_time: unknown key"),
+    ({"controller": {"agent": {"gama": 0.5}}}, r"controller\.agent\.gama: unknown key"),
+    # the sweep section, checked like the others
+    ({"sweep": [1, 2]}, r"sweep: expected a mapping, got list"),
+    ({"sweep": {"theta_reds": [1.0]}}, r"sweep\.theta_reds: unknown key"),
+    ({"sweep": {"theta_red": []}}, r"sweep\.theta_red: need at least one threshold"),
+    ({"sweep": {"kind": "sotl-grid", "theta_green": []}}, r"sweep\.theta_green: need at least"),
+    ({"sweep": {"kind": "bogus"}}, r"sweep\.kind: 'bogus' not in"),
+    ({"sweep": {"theta_red": ["2"]}}, r"sweep\.theta_red: expected list\[float\]"),
+    ({"sweep": {"theta_green": 4}}, r"sweep\.theta_green: expected list\[float\]"),
 ])
-def test_validate_config_rejects_bad_sections(doc, fragment):
+def test_parse_config_rejects_bad_sections(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(doc)
 
 
-def test_validate_config_surfaces_nested_agent_errors():
+def test_parse_config_builds_nothing_and_reads_no_file(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_config built or read something")
+
+    monkeypatch.setattr(config_mod, "build_network", refuse)
+    monkeypatch.setattr(config_mod.demand_mod, "load_demand_csv", refuse)
+    monkeypatch.setattr(config_mod.AgentConfig, "from_dict", refuse)
+    cfg = parse_config({"network": {"kind": "grid", "rows": 1, "cols": 2},
+                        "demand": {"kind": "file", "path": "/nonexistent/demand.csv"},
+                        "deploy_demand": {"rate_vph": {"1:WT": 400}},
+                        "controller": {"kind": "rl", "agent": {"gamma": 2.0}}})
+    assert cfg.demand.path == "/nonexistent/demand.csv"
+
+
+def test_resolve_surfaces_nested_agent_errors():
+    cfg = parse_config({"controller": {"kind": "rl", "agent": {"gamma": 2.0}}})
     with pytest.raises(ConfigError, match=r"controller\.agent"):
-        parse_config({"controller": {"kind": "rl", "agent": {"gamma": 2.0}}})
+        resolve(cfg)
 
 
-def test_validate_config_surfaces_nested_webster_errors():
+def test_resolve_surfaces_nested_webster_errors():
+    cfg = parse_config({"controller": {"webster": {"saturation_headway_s": -1.0}}})
     with pytest.raises(ConfigError, match=r"controller\.webster"):
-        parse_config({"controller": {"webster": {"saturation_headway_s": -1.0}}})
+        resolve(cfg)
 
 
-def test_validate_config_rejects_unknown_webster_key():
-    with pytest.raises(ConfigError, match=r"controller\.webster"):
-        parse_config({"controller": {"webster": {"cycle_time": 60}}})
+def test_resolve_repeats_the_document_checks():
+    # callers such as the CLI change a parsed config before they resolve it
+    cfg = parse_config({})
+    cfg.run.episodes = 0
+    with pytest.raises(ConfigError, match=r"run\.episodes: must be >= 1"):
+        resolve(cfg)
+
+
+def test_plan_holds_what_a_run_draws_from():
+    cfg = parse_config({"network": {"kind": "grid", "rows": 1, "cols": 2},
+                        "demand": {"rate_vph": 360.0, "process": "poisson"},
+                        "controller": {"kind": "rl", "agent": {"gamma": 0.5}},
+                        "run": {"horizon_s": 60}})
+    plan = resolve(cfg)
+    assert plan.cfg is cfg
+    assert plan.network == build_network(cfg)
+    assert plan.agent == AgentConfig(gamma=0.5)
+    assert plan.deploy_demand is plan.demand   # no deploy_demand section
+    assert plan.demand.multi_hop
+    assert plan.demand.spec.horizon_s == 60
+    for seed, episode in ((0, 0), (3, 1), (3, 10_000)):
+        assert plan.demand.draw(seed, episode) == build_demand_fn(
+            cfg.demand, plan.network, seed, 60)(episode)
+
+
+def test_plan_with_controller_resolves_only_that_section():
+    plan = resolve(parse_config({"controller": {"kind": "rl"}}))
+    point = plan.with_controller(dataclasses.replace(plan.cfg.controller,
+                                                     agent={"forecast": False}))
+    assert point.agent.gamma == 0.0 and plan.agent.gamma == 0.8
+    assert point.network is plan.network and point.demand is plan.demand
+    with pytest.raises(ConfigError, match=r"^controller\.theta_red: must be >= 0"):
+        plan.with_controller(dataclasses.replace(plan.cfg.controller, theta_red=-1.0))
+
+
+def test_a_pickled_plan_draws_the_same_vehicles(tmp_path):
+    from greenlight.demand import generate_uniform, save_demand_csv
+
+    path = tmp_path / "deploy.csv"
+    lanes = build_network(parse_config({})).intersections[0].lanes
+    save_demand_csv(path, generate_uniform(360.0, lanes, 60.0))
+    plan = resolve(parse_config({
+        "network": {"kind": "grid", "rows": 2, "cols": 2},
+        "demand": {"kind": "peaked", "process": "poisson", "peak_windows": [[10, 40]],
+                   "peak_lanes": ["0:WT"], "seed": 5},
+        "deploy_demand": {"kind": "file", "path": str(path)},
+        "run": {"horizon_s": 60},
+    }))
+    restored = pickle.loads(pickle.dumps(plan))
+    for seed, episode in ((0, 0), (7, 2), (7, 10_001)):
+        assert restored.demand.draw(seed, episode) == plan.demand.draw(seed, episode)
+        assert restored.deploy_demand.draw(seed, episode) == plan.deploy_demand.draw(seed, episode)
+    assert restored.deploy_demand.draw(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +355,8 @@ def test_build_demand_fn_partial_rate_mapping_silences_other_lanes():
 
 
 def test_build_demand_fn_rejects_non_entry_lane():
-    # build_demand_fn, which validate_config calls, resolves the mapping when
-    # it is built, before any draw, and names the section's key
+    # build_demand_fn resolves the mapping when it is built, before any
+    # draw, and names the section's key
     cfg = parse_config({"network": {"kind": "grid", "rows": 1, "cols": 2}})
     cfg.demand.rate_vph = {"1:WT": 100.0}
     net = build_network(cfg)
@@ -292,19 +373,20 @@ def test_build_demand_fn_rejects_non_entry_lane():
     ({"0:WT": 400, "2:ET": 3}, "2:ET is not an entry lane"),
     ({"x:WT": 400}, "bad intersection index"),
 ])
-def test_validate_config_checks_rate_mapping_lanes(section, rates, fragment):
+def test_resolve_checks_rate_mapping_lanes(section, rates, fragment):
     doc = {"network": {"kind": "grid", "rows": 1, "cols": 2}}
     doc[section] = {"kind": "uniform", "rate_vph": rates}
     with pytest.raises(ConfigError, match=rf"^{section}\.rate_vph: .*{fragment}"):
-        parse_config(doc)
+        resolve(parse_config(doc))
 
 
-def test_validate_config_accepts_entry_lane_mappings():
+def test_resolve_accepts_entry_lane_mappings():
     cfg = parse_config({
         "network": {"kind": "grid", "rows": 1, "cols": 2},
         "demand": {"rate_vph": {"0:WT": 400, "1:ET": 300, "1:NT": 5}},
         "deploy_demand": {"rate_vph": {"WT": 200}},
     })
+    resolve(cfg)
     assert cfg.demand.rate_vph["1:ET"] == 300
 
 
@@ -325,20 +407,21 @@ PEAKED_1X2 = {"kind": "peaked", "base_vph": 100, "peak_vph": 1000, "peak_windows
     ({"peak_vph": -5}, r"peak_vph: must be >= 0"),
     ({"base_vph": -1.5}, r"base_vph: must be >= 0"),
 ])
-def test_validate_config_checks_peaked_demand(section, override, fragment):
+def test_resolve_checks_peaked_demand(section, override, fragment):
     doc = {"network": {"kind": "grid", "rows": 1, "cols": 2}, "run": {"horizon_s": 3600}}
     doc[section] = {**PEAKED_1X2, **override}
     with pytest.raises(ConfigError, match=rf"^{section}\.{fragment}"):
-        parse_config(doc)
+        resolve(parse_config(doc))
 
 
-def test_validate_config_accepts_peaked_entry_lanes_and_touching_windows():
+def test_resolve_accepts_peaked_entry_lanes_and_touching_windows():
     cfg = parse_config({
         "network": {"kind": "grid", "rows": 1, "cols": 2},
         "demand": {**PEAKED_1X2, "peak_lanes": ["0:WT", "1:ET"],
                    "peak_windows": [[0, 600], [600, 900], [3000, 3600]]},
         "deploy_demand": {**PEAKED_1X2, "peak_lanes": None},
     })
+    resolve(cfg)
     assert cfg.demand.peak_lanes == ["0:WT", "1:ET"]
 
 
@@ -431,8 +514,9 @@ def test_agent_config_from_controller_section_applies_overrides():
 # defaults document
 
 
-def test_default_config_dict_parses_and_validates():
+def test_default_config_dict_parses_and_resolves():
     cfg = parse_config(default_config_dict())
+    resolve(cfg)
     assert cfg.controller.kind == "fixedtime"
     assert cfg.controller.agent["gamma"] == 0.8
 
@@ -443,8 +527,8 @@ def test_default_config_dict_survives_yaml_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# validate_config is the whole contract: what it accepts runs to the end,
-# and what it rejects is named by a config key
+# resolve is the whole contract: what it accepts runs to the end, and what
+# it rejects is named by a config key
 
 
 AGENT_BASE = {"hidden_dims": [8], "batch_size": 4, "replay_capacity": 64,
@@ -598,7 +682,7 @@ TINY_ROAD_M = 1.00001e-8    # a 1.00001e-9 s link: lost to rounding from step 64
 @example(oracle_case({"controller": {"kind": "rl", "agent": {"learning_rate": -1}}}))
 @example(oracle_case({"controller": {"kind": "rl", "agent": {"reward_mode": "bogus"}}}))
 @example(oracle_case({"controller": {"kind": "rl", "agent": {"state_mode": "bogus"}}}))
-def test_validate_config_accepts_only_configs_that_run(case):
+def test_resolve_accepts_only_configs_that_run(case):
     doc, files = case
     with tempfile.TemporaryDirectory() as tmp:
         doc = copy.deepcopy(doc)
@@ -611,6 +695,7 @@ def test_validate_config_accepts_only_configs_that_run(case):
         doc.setdefault("run", {})["out_dir"] = os.path.join(tmp, "out")
         try:
             cfg = parse_config(doc)
+            resolve(cfg)
         except ConfigError as exc:
             key = re.match(KEY_PREFIX, str(exc))
             assert key, str(exc)

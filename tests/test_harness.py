@@ -9,7 +9,7 @@ import pytest
 
 from greenlight import harness
 from greenlight.classic import FixedTimeController, SotlController, WebsterController
-from greenlight.config import build_network, parse_config
+from greenlight.config import SweepSection, build_network, parse_config, resolve
 from greenlight.core import (
     Approach,
     ConfigError,
@@ -245,9 +245,7 @@ def test_evaluate_is_deterministic_for_a_base_seed():
 
 
 def test_run_seed_classic_rows(tmp_path):
-    cfg = classic_cfg(tmp_path)
-    net = build_network(cfg)
-    outcome = harness.run_seed(cfg, net, seed=7)
+    outcome = harness.run_seed(resolve(classic_cfg(tmp_path)), seed=7)
     assert outcome.training is None
     assert [r.episode for r in outcome.rows] == [0, 1]
     assert all(r.controller == "fixedtime" for r in outcome.rows)
@@ -257,17 +255,15 @@ def test_run_seed_classic_rows(tmp_path):
 
 
 def test_run_seed_honors_controller_label(tmp_path):
-    cfg = classic_cfg(tmp_path, episodes=1)
-    net = build_network(cfg)
-    outcome = harness.run_seed(cfg, net, seed=7, controller_label="baseline")
+    plan = resolve(classic_cfg(tmp_path, episodes=1))
+    outcome = harness.run_seed(plan, seed=7, controller_label="baseline")
     assert outcome.rows[0].controller == "baseline"
 
 
 def test_run_seed_is_reproducible(tmp_path):
-    cfg = classic_cfg(tmp_path)
-    net = build_network(cfg)
-    a = harness.run_seed(cfg, net, seed=11)
-    b = harness.run_seed(cfg, net, seed=11)
+    plan = resolve(classic_cfg(tmp_path))
+    a = harness.run_seed(plan, seed=11)
+    b = harness.run_seed(plan, seed=11)
     assert [r.csv() for r in a.rows] == [r.csv() for r in b.rows]
 
 
@@ -310,7 +306,7 @@ def test_ablation_variants_cover_the_three_traits():
 
 def test_run_ablation_sweep_writes_one_curve_per_variant(tmp_path):
     cfg = rl_cfg(tmp_path, train_episodes=1)
-    cfg.sweep = {"kind": "ablation"}
+    cfg.sweep = SweepSection("ablation")
     rows, written = harness.run_sweep(cfg)
     assert [r.controller for r in rows] == list(harness.ABLATION_VARIANTS)
     assert written[0].endswith("results.csv")
@@ -322,7 +318,7 @@ def test_run_ablation_sweep_writes_one_curve_per_variant(tmp_path):
 
 def test_run_ablation_sweep_requires_learning_controller(tmp_path):
     cfg = classic_cfg(tmp_path)
-    cfg.sweep = {"kind": "ablation"}
+    cfg.sweep = SweepSection("ablation")
     with pytest.raises(ConfigError, match="rl"):
         harness.run_sweep(cfg)
 
@@ -330,7 +326,7 @@ def test_run_ablation_sweep_requires_learning_controller(tmp_path):
 def test_run_sweep_ablation_points_equal_runs_with_the_variant_overrides(tmp_path):
     cfg = rl_cfg(tmp_path / "sweep", train_episodes=1)
     cfg.run.seeds = [0, 1]
-    cfg.sweep = {"kind": "ablation"}
+    cfg.sweep = SweepSection("ablation")
     swept, _ = harness.run_sweep(cfg)
     for label, overrides in harness.ABLATION_VARIANTS.items():
         single = rl_cfg(tmp_path / label, train_episodes=1, agent={**TINY_AGENT, **overrides})
@@ -345,7 +341,7 @@ def test_run_sweep_ablation_points_equal_runs_with_the_variant_overrides(tmp_pat
 
 def test_run_sweep_rejects_a_bad_point_before_any_seed_runs(tmp_path, monkeypatch):
     cfg = classic_cfg(tmp_path, seeds=[0, 1], episodes=1)
-    cfg.sweep = {"kind": "sotl-grid", "theta_red": [2.0, 4.0, -1.0], "theta_green": [1.0, 2.0]}
+    cfg.sweep = SweepSection("sotl-grid", [2.0, 4.0, -1.0], [1.0, 2.0])
     runs = []
     monkeypatch.setattr(harness, "run_seed", lambda *args, **kwargs: runs.append(args))
     with pytest.raises(ConfigError, match=r"sotl\[r=-1,g=1\]: controller\.theta_red"):
@@ -356,7 +352,7 @@ def test_run_sweep_rejects_a_bad_point_before_any_seed_runs(tmp_path, monkeypatc
 
 def test_run_sotl_grid_sweep_labels_and_rows(tmp_path):
     cfg = classic_cfg(tmp_path, episodes=1)
-    cfg.sweep = {"kind": "sotl-grid", "theta_red": [3.0], "theta_green": [1.0, 2.5]}
+    cfg.sweep = SweepSection("sotl-grid", [3.0], [1.0, 2.5])
     rows, written = harness.run_sweep(cfg)
     assert [r.controller for r in rows] == ["sotl[r=3,g=1]", "sotl[r=3,g=2.5]"]
     assert all(r.converged_at is None for r in rows)
@@ -382,18 +378,18 @@ def test_run_sotl_grid_sweep_evaluates_on_deploy_demand(tmp_path):
 
 def test_run_sweep_dispatches_and_rejects_unknown_kind(tmp_path):
     cfg = classic_cfg(tmp_path, episodes=1)
-    cfg.sweep = {"kind": "sotl-grid", "theta_red": [4.0], "theta_green": [2.0]}
+    cfg.sweep = SweepSection("sotl-grid", [4.0], [2.0])
     rows, _ = harness.run_sweep(cfg)
     assert len(rows) == 1
 
-    cfg.sweep = {"kind": "bogus"}
+    cfg.sweep = SweepSection("bogus")
     with pytest.raises(ConfigError, match="sweep.kind"):
         harness.run_sweep(cfg)
 
 
 def test_run_sweep_defaults_to_ablation(tmp_path):
     cfg = classic_cfg(tmp_path)
-    cfg.sweep = {}
+    cfg.sweep = SweepSection()
     with pytest.raises(ConfigError, match="rl"):
         harness.run_sweep(cfg)
 

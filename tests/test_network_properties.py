@@ -25,7 +25,6 @@ from greenlight.metrics import check_identity, compute_metrics
 from greenlight.sim import (
     CHANGE,
     KEEP,
-    AlwaysKeepController,
     BaseController,
     IntersectionSim,
     run_episode,
@@ -194,6 +193,11 @@ class Scripted(BaseController):
         return next(self.actions)
 
 
+class KeepPhase(BaseController):
+    def decide(self, view):
+        return KEEP
+
+
 def run_recorded(network, controllers, demand, horizon):
     """Run an episode under recorders and check that its three traces hold,
     byte for byte, what the views reported at every step."""
@@ -284,7 +288,7 @@ def test_a_cut_horizon_leaves_queued_and_free_flow_vehicles_in_the_traces():
     cfg = build_standard_intersection(2)
     nt = LaneId(0, Approach.N, Movement.T)
     demand = [Vehicle(i, 2.0 * i, (nt,)) for i in range(50)]
-    result = run_recorded(single_intersection_network(cfg), [AlwaysKeepController()],
+    result = run_recorded(single_intersection_network(cfg), [KeepPhase()],
                           demand, 60)
     # entries 0, 2, .., 28 queue by step 59; entries 30, .., 58 are in free flow
     assert result.queue_traces[0][-1].tolist() == [15 if j == cfg.lane_index(nt) else 0

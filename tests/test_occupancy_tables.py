@@ -77,7 +77,7 @@ def test_table_occupancy_equals_numpy_reference_every_step(scenario, cells_list)
     cfg, arrivals, actions = scenario
     sim = IntersectionSim(cfg)
     for vid, (j, entry) in enumerate(arrivals):
-        sim.schedule_arrival(vid, cfg.lanes[j], entry)
+        sim._schedule(vid, j, IntersectionSim.entry_step(entry))
     assert_same_occupancy(sim, cells_list)
     for action in actions:
         sim.step(action)
@@ -98,7 +98,7 @@ def test_queue_longer_than_the_road_clips_to_cell_zero(road_length_m, speed_mps,
     red = next(j for j in range(cfg.lane_count) if j not in cfg.green_lane_indices(0))
     vehicles = int(road_length_m / VEHICLE_SPACING_M) + 12
     for vid in range(vehicles):
-        sim.schedule_arrival(vid, cfg.lanes[red], vid * 0.5)
+        sim._schedule(vid, red, IntersectionSim.entry_step(vid * 0.5))
     for _ in range(vehicles + 20):
         sim.step(KEEP)
         assert_same_occupancy(sim, [cells, 4, 7])

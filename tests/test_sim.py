@@ -21,7 +21,6 @@ from greenlight.demand import straight_route
 from greenlight.sim import (
     CHANGE,
     KEEP,
-    AlwaysKeepController,
     BaseController,
     IntersectionSim,
     SimulationError,
@@ -37,6 +36,17 @@ def lane(label: str, intersection: int = 0) -> LaneId:
 
 def make_sim(**overrides) -> IntersectionSim:
     return IntersectionSim(build_standard_intersection(2, **overrides))
+
+
+def arrive(sim: IntersectionSim, vehicle_id: int, label: str, entry_time_s: float) -> None:
+    """File a vehicle on lane `label` at its entry step, as `run_episode` does."""
+    sim._schedule(vehicle_id, sim.config.lane_index(lane(label)),
+                  IntersectionSim.entry_step(entry_time_s))
+
+
+class KeepPhase(BaseController):
+    def decide(self, view):
+        return KEEP
 
 
 class AlwaysChange(BaseController):
@@ -64,20 +74,14 @@ def test_entry_step_quantization(entry_time, expected_step):
     assert IntersectionSim.entry_step(entry_time) == expected_step
 
 
-def test_schedule_arrival_rejects_unknown_lane():
-    sim = make_sim()
-    with pytest.raises(ConfigError):
-        sim.schedule_arrival(0, lane("WL"), 0.0)
-
-
-def test_schedule_arrival_rejects_an_entry_step_already_simulated():
+def test_schedule_rejects_an_entry_step_already_simulated():
     sim = make_sim()
     for _ in range(5):
         sim.step(KEEP)
     with pytest.raises(SimulationError,
                        match=r"vehicle 7: entry step 2 is already simulated \(clock_s=5\)"):
-        sim.schedule_arrival(7, lane("WT"), 2.0)
-    sim.schedule_arrival(8, lane("WT"), 4.5)  # entry step 5, the next to run
+        arrive(sim, 7, "WT", 2.0)
+    arrive(sim, 8, "WT", 4.5)  # entry step 5, the next to run
     for _ in range(60):
         sim.step(KEEP)
     assert list(sim.log.records) == [8]
@@ -92,7 +96,7 @@ def test_single_vehicle_full_green_passage():
     # has been green since the start so the discharge credit is saturated:
     # it crosses in the same step it becomes ready.
     sim = make_sim()
-    sim.schedule_arrival(7, lane("WT"), 0.0)
+    arrive(sim, 7, "WT", 0.0)
     departures = []
     for _ in range(40):
         departures += sim.step(KEEP).departures
@@ -104,7 +108,7 @@ def test_single_vehicle_full_green_passage():
 
 def test_free_flow_vehicle_counts_but_does_not_queue():
     sim = make_sim()
-    sim.schedule_arrival(0, lane("WT"), 0.0)
+    arrive(sim, 0, "WT", 0.0)
     out = sim.step(KEEP)
     assert out.counts == (1, 0, 0, 0)
     assert out.queues == (0, 0, 0, 0)
@@ -115,7 +119,7 @@ def test_free_flow_vehicle_counts_but_does_not_queue():
 def test_red_lane_vehicle_waits_and_is_censored():
     # NT is red under phase 0; with keep-forever the vehicle never departs.
     sim = make_sim()
-    sim.schedule_arrival(3, lane("NT"), 0.0)
+    arrive(sim, 3, "NT", 0.0)
     rewards = []
     for _ in range(40):
         rewards.append(sim.step(KEEP).reward)
@@ -134,7 +138,7 @@ def test_discharge_every_other_second_at_headway_two():
     # the platoon leaves at t = 30, 32, 34, 36.
     sim = make_sim()
     for vid in range(4):
-        sim.schedule_arrival(vid, lane("WT"), 0.0)
+        arrive(sim, vid, "WT", 0.0)
     departs = {}
     queue_trace = []
     for t in range(40):
@@ -173,8 +177,8 @@ def test_shared_lane_keeps_credit_across_a_switch_with_no_transition():
         saturation_headway_s=10.0, yellow_s=0, all_red_s=0, min_green_s=1,
     )
     sim = IntersectionSim(cfg)
-    sim.schedule_arrival(0, wt, 0.0)
-    sim.schedule_arrival(1, nt, 0.0)
+    arrive(sim, 0, "WT", 0.0)
+    arrive(sim, 1, "NT", 0.0)
     departs = {}
     for t in range(20):
         for vid in sim.step(CHANGE if t == 5 else KEEP).departures:
@@ -185,7 +189,7 @@ def test_shared_lane_keeps_credit_across_a_switch_with_no_transition():
 def test_headway_one_discharges_every_green_second():
     sim = make_sim(saturation_headway_s=1.0)
     for vid in range(3):
-        sim.schedule_arrival(vid, lane("WT"), 0.0)
+        arrive(sim, vid, "WT", 0.0)
     departs = {}
     for t in range(35):
         for vid in sim.step(KEEP).departures:
@@ -197,7 +201,7 @@ def test_sub_unit_headway_releases_multiple_per_second():
     # h = 0.5: two vehicles per green second once both are at the line.
     sim = make_sim(saturation_headway_s=0.5)
     for vid in range(4):
-        sim.schedule_arrival(vid, lane("WT"), 0.0)
+        arrive(sim, vid, "WT", 0.0)
     departs = {}
     for t in range(35):
         for vid in sim.step(KEEP).departures:
@@ -236,7 +240,7 @@ def test_change_before_min_green_is_ignored_and_phase_kept():
 
 def test_instantaneous_switch_without_yellow_or_all_red():
     sim = make_sim(yellow_s=0, all_red_s=0)
-    sim.schedule_arrival(0, lane("NT"), 0.0)
+    arrive(sim, 0, "NT", 0.0)
     for _ in range(30):
         sim.step(KEEP)  # vehicle reaches the NT stop line at t=30 (red)
     out = sim.step(CHANGE)  # elapsed green 30 >= 5: switch this very step
@@ -286,7 +290,7 @@ def test_invalid_action_raises():
 
 def test_waiting_measure_counts_post_movement_snapshots():
     sim = make_sim()
-    sim.schedule_arrival(0, lane("NT"), 0.0)
+    arrive(sim, 0, "NT", 0.0)
     outs = [sim.step(KEEP) for _ in range(33)]
     # ready at 30; waiting measure = snapshots seen so far (1 at t=30, ...)
     assert outs[29].waiting_steps[2] == 0
@@ -297,7 +301,7 @@ def test_waiting_measure_counts_post_movement_snapshots():
 
 def test_one_read_only_view_per_step_clocked_by_steps_run():
     sim = make_sim()
-    sim.schedule_arrival(0, lane("NT"), 0.0)
+    arrive(sim, 0, "NT", 0.0)
     before = sim.control_context()
     assert (before.clock_s, before.reward, before.departures) == (0, 0.0, [])
     for steps in range(1, 32):
@@ -316,7 +320,7 @@ def test_one_read_only_view_per_step_clocked_by_steps_run():
 
 def test_occupancy_vector_cells():
     sim = make_sim()
-    sim.schedule_arrival(0, lane("WT"), 0.0)
+    arrive(sim, 0, "WT", 0.0)
     sim.step(KEEP)
     # after one step the vehicle is 10m down a 300m lane: cell 0 of 4
     assert sim.occupancy_vector(4).tolist() == [1, 0, 0, 0] + [0] * 12
@@ -329,7 +333,7 @@ def test_occupancy_vector_cells():
 def test_occupancy_vector_queued_vehicles_stack_from_stop_line():
     sim = make_sim()
     for vid in range(3):
-        sim.schedule_arrival(vid, lane("NT"), 0.0)
+        arrive(sim, vid, "NT", 0.0)
     for _ in range(31):
         sim.step(KEEP)
     # all three queued on NT (index 2): ranks at 300, 292.5, 285 m -> cell 3
@@ -347,7 +351,7 @@ def test_run_episode_requires_one_controller_per_intersection():
     with pytest.raises(ConfigError):
         run_episode(net, [], demand=[], horizon_s=10)
     with pytest.raises(ConfigError):
-        run_episode(net, [AlwaysKeepController()], demand=[], horizon_s=0)
+        run_episode(net, [KeepPhase()], demand=[], horizon_s=0)
 
 
 def test_validate_demand_rejects_missing_lane():
@@ -356,7 +360,7 @@ def test_validate_demand_rejects_missing_lane():
     with pytest.raises(ConfigError):
         validate_demand(net, bad)
     with pytest.raises(ConfigError):
-        run_episode(net, [AlwaysKeepController()], bad, horizon_s=10)
+        run_episode(net, [KeepPhase()], bad, horizon_s=10)
 
 
 @pytest.mark.parametrize("layout", ["alone", "after 500 sharing a valid route",
@@ -388,7 +392,7 @@ def test_validate_demand_rejects_unlinked_hops_and_revisits(grid, phases, route,
         validate_demand(net, demand)
     decisions = []
 
-    class Recording(AlwaysKeepController):
+    class Recording(KeepPhase):
         def decide(self, view):
             decisions.append(view.clock_s)
             return KEEP
@@ -406,7 +410,7 @@ def test_route_advances_across_grid_link():
     net = build_grid_network(1, 2, build_standard_intersection(2))
     route = (lane("WT", 0), lane("WT", 1))
     demand = [Vehicle(0, 0.0, route)]
-    controllers = [AlwaysKeepController(), AlwaysKeepController()]
+    controllers = [KeepPhase(), KeepPhase()]
     result = run_episode(net, controllers, demand, horizon_s=120)
     rec0 = result.travel_logs[0].records[0]
     rec1 = result.travel_logs[1].records[0]
@@ -419,7 +423,7 @@ def test_partial_route_is_not_a_network_departure():
     net = build_grid_network(1, 2, build_standard_intersection(2))
     route = (lane("WT", 0), lane("WT", 1))
     demand = [Vehicle(0, 0.0, route)]
-    controllers = [AlwaysKeepController(), AlwaysKeepController()]
+    controllers = [KeepPhase(), KeepPhase()]
     result = run_episode(net, controllers, demand, horizon_s=70)
     assert len(result.travel_logs[0].delays()) == 1
     assert len(result.travel_logs[1].delays()) == 0
@@ -474,7 +478,7 @@ def test_exact_credit_arithmetic_is_fractional():
     # and releases them at 41 and 52 instead.
     sim = make_sim(saturation_headway_s=10.0)
     for vid in range(3):
-        sim.schedule_arrival(vid, lane("WT"), 0.0)
+        arrive(sim, vid, "WT", 0.0)
     departs = {}
     for t in range(60):
         for vid in sim.step(KEEP).departures:

@@ -116,7 +116,7 @@ def replay_departures(cfg, phase_trace, red, ready_by_lane):
 def schedule(sim, cfg, arrivals):
     """Schedule the drawn (lane index, entry time) arrivals; vehicle id -> lane index."""
     for vid, (j, entry) in enumerate(arrivals):
-        sim.schedule_arrival(vid, cfg.lanes[j], entry)
+        sim._schedule(vid, j, IntersectionSim.entry_step(entry))
     return {vid: j for vid, (j, _) in enumerate(arrivals)}
 
 
