@@ -52,9 +52,9 @@ NETWORK_KINDS = ("single", "grid")
 SWEEP_KINDS = ("ablation", "sotl-grid")
 
 
-def parse_lane_label(label: str, intersection: int = 0) -> LaneId:
-    """Parse "0:WT" or "WT" (defaulting the intersection index)."""
-    text = label.strip()
+def parse_lane_label(label: str) -> LaneId:
+    """Parse "0:WT" or "WT" (intersection 0)."""
+    text, intersection = label.strip(), 0
     if ":" in text:
         head, tail = text.split(":", 1)
         try:
@@ -289,8 +289,11 @@ def _check_document(cfg: ExperimentConfig) -> None:
     if sweep.kind not in SWEEP_KINDS:
         raise ConfigError(f"sweep.kind: {sweep.kind!r} not in {SWEEP_KINDS}")
     for key in ("theta_red", "theta_green"):
-        if not getattr(sweep, key):
+        values = getattr(sweep, key)
+        if not values:
             raise ConfigError(f"sweep.{key}: need at least one threshold")
+        if min(values) < 0:
+            raise ConfigError(f"sweep.{key}: thresholds must be >= 0, got {values!r}")
     _check_controller(cfg.controller)
 
 

@@ -15,9 +15,10 @@ is a real bookkeeping bug, not float noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +45,42 @@ class EpisodeMetrics:
     empty: bool = False
 
 
+class LogTotals(NamedTuple):
+    """One log's integer counts and waiting totals."""
+
+    entered: int
+    departed: int
+    waiting: int                    # depart - ready over departed vehicles
+    censored_waiting: int           # plus end - ready over vehicles still on a lane
+    first_entry: float              # inf when nothing entered
+    last_departure: float           # -inf when nothing departed
+
+
+def log_totals(log: TravelLog, end_s: int) -> LogTotals:
+    """Totals of `log` in one pass over its records, censored at `end_s`.
+
+    A vehicle still on a lane at `end_s` adds end_s - ready to the censored
+    waiting, or nothing when it has not reached the stop line by then.
+    """
+    departed = waiting = censored = 0
+    first, last = math.inf, -math.inf
+    for r in log.records.values():
+        ready, depart = r.ready_s, r.depart_s
+        if depart is None:
+            if end_s > ready:
+                censored += end_s - ready
+        else:
+            departed += 1
+            waiting += depart - ready
+            if depart > ready:
+                censored += depart - ready
+            if depart > last:
+                last = depart
+        if r.entry_s < first:
+            first = r.entry_s
+    return LogTotals(len(log.records), departed, waiting, censored, first, last)
+
+
 def censored_avg_travel_time(log: TravelLog, horizon_s: int) -> float | None:
     """Mean travel time charging pending vehicles their waiting so far.
 
@@ -51,11 +88,10 @@ def censored_avg_travel_time(log: TravelLog, horizon_s: int) -> float | None:
     waiting; this keeps starving policies from looking good by never serving
     a lane.  None when nothing entered.
     """
-    entered = log.entered_count()
-    if entered == 0:
+    totals = log_totals(log, horizon_s)
+    if totals.entered == 0:
         return None
-    waiting = log.censored_waiting(horizon_s)
-    return waiting / entered + log.free_flow_time_s
+    return totals.censored_waiting / totals.entered + log.free_flow_time_s
 
 
 def compute_metrics(log: TravelLog, reward_trace: Sequence[float] | np.ndarray,
@@ -69,21 +105,24 @@ def pooled_metrics(logs: Sequence[TravelLog],
     """Network-level metrics: each vehicle counted once per hop it entered.
 
     Delays, trace waiting, censored waiting and counts are integer totals
-    over all logs; tau runs from the earliest entry to the latest departure.
-    The free-flow time is that of the first log with entries.
+    over all logs, from one `log_totals` pass over each log's records; tau
+    runs from the earliest entry to the latest departure.  A log's censored
+    waiting runs to the length of its trace.  The free-flow time is that of
+    the first log with entries.
     """
-    entered = sum(log.entered_count() for log in logs)
-    delays = [d for log in logs for d in log.delays()]
-    departed = len(delays)
-    total_w = int(sum(delays))
-    trace_w = sum(int(round(-float(np.asarray(trace, dtype=float).sum())))
-                  for trace in reward_traces)
-    censored_w = sum(log.censored_waiting(len(trace))
-                     for log, trace in zip(logs, reward_traces))
-    firsts = [t for t in (log.first_entry() for log in logs) if t is not None]
-    lasts = [t for t in (log.last_departure() for log in logs) if t is not None]
-    tau = max(lasts) - min(firsts) if lasts else 0
-    lmu = next((log.free_flow_time_s for log in logs if log.entered_count()),
+    entered = departed = total_w = trace_w = censored_w = 0
+    first, last = math.inf, -math.inf
+    for log, trace in zip(logs, reward_traces, strict=True):
+        trace_w += int(round(-float(np.asarray(trace, dtype=float).sum())))
+        totals = log_totals(log, len(trace))
+        entered += totals.entered
+        departed += totals.departed
+        total_w += totals.waiting
+        censored_w += totals.censored_waiting
+        first = min(first, totals.first_entry)
+        last = max(last, totals.last_departure)
+    tau = last - first if departed else 0
+    lmu = next((log.free_flow_time_s for log in logs if log.records),
                logs[0].free_flow_time_s)
     avg_delay = total_w / departed if departed else float("nan")
     return EpisodeMetrics(

@@ -23,6 +23,11 @@ reached the stop line at a step <= t minus those that crossed it at a step
 <= t, so `run_episode` builds the queue, reward and phase traces once, at
 the end of the episode, from the stop-line and departure steps and the
 phase switches the sims record.
+
+The lanes are the only per-vehicle ledger a step writes: each keeps its
+vehicles' ids, stop-line steps and departure steps in order.  The
+`TravelLog` of an intersection is built from them on each read of
+`IntersectionSim.log`, and `run_episode` reads each log once, at the end.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,7 +105,7 @@ class StepView:
         return tuple([self.clock_s * q - s for q, s in zip(self.queues, self.ready_sums)])
 
 
-@dataclass
+@dataclass(slots=True)
 class _VehicleRecord:
     entry_s: int
     ready_s: int
@@ -107,7 +113,13 @@ class _VehicleRecord:
 
 
 class TravelLog:
-    """Per-vehicle entry / ready / departure timestamps for one intersection."""
+    """Per-vehicle entry / ready / departure steps for one intersection.
+
+    The step does not write it: `IntersectionSim.log` builds it from the
+    lanes, the sim's ledger, when read.  `records` is a plain dict whose
+    records may be changed in place afterwards; the vehicles of one lane
+    come in stop-line order.
+    """
 
     def __init__(self, road_length_m: float, free_flow_speed_mps: float) -> None:
         self.road_length_m = road_length_m
@@ -118,54 +130,21 @@ class TravelLog:
     def free_flow_time_s(self) -> float:
         return self.road_length_m / self.free_flow_speed_mps
 
-    def record_entry(self, vehicle_id: int, entry_s: int, ready_s: int) -> None:
-        if vehicle_id in self.records:
-            raise SimulationError(f"vehicle {vehicle_id} entered twice")
-        self.records[vehicle_id] = _VehicleRecord(entry_s, ready_s)
-
-    def record_departure(self, vehicle_id: int, depart_s: int) -> None:
-        rec = self.records[vehicle_id]
-        if rec.depart_s is not None:
-            raise SimulationError(f"vehicle {vehicle_id} departed twice")
-        rec.depart_s = depart_s
-
-    def entered_count(self) -> int:
-        return len(self.records)
-
-    def delays(self) -> list[int]:
-        """Waiting steps (depart - ready) of every departed vehicle."""
-        return [r.depart_s - r.ready_s for r in self.records.values() if r.depart_s is not None]
-
-    def censored_waiting(self, end_s: int) -> int:
-        """Total waiting steps including vehicles still queued at `end_s`."""
-        total = 0
-        for r in self.records.values():
-            stop = r.depart_s if r.depart_s is not None else end_s
-            total += max(0, stop - r.ready_s)
-        return total
-
-    def first_entry(self) -> int | None:
-        if not self.records:
-            return None
-        return min(r.entry_s for r in self.records.values())
-
-    def last_departure(self) -> int | None:
-        times = [r.depart_s for r in self.records.values() if r.depart_s is not None]
-        return max(times) if times else None
-
 
 @dataclass
 class _LaneState:
-    """One lane as Newell's cumulative arrival/departure curves.
+    """One lane as Newell's cumulative arrival/departure curves, and the
+    intersection's per-vehicle ledger for the lane.
 
     Every vehicle shares the lane's free-flow time and vehicles enter in step
     order, so entry order is stop-line order.  Vehicles before `departed`
-    have crossed the stop line, those before `ready` have reached it, and the
-    rest are still on the free-flow segment.
+    have crossed the stop line, at the steps in `depart_steps`; those before
+    `ready` have reached it, and the rest are still on the free-flow segment.
     """
 
     vehicle_ids: list[int] = field(default_factory=list)
     ready_steps: list[int] = field(default_factory=list)
+    depart_steps: list[int] = field(default_factory=list)
     departed: int = 0
     ready: int = 0
     credit: int = 0     # discharge credit in ticks of the rational headway, while green
@@ -253,7 +232,6 @@ class IntersectionSim:
                              for green in self._green_lanes]
         self._red_mask = _read_only(np.zeros(config.lane_count, dtype=bool))
         self._cell_tables: dict[int, _CellTables] = {}  # cells_per_lane -> tables
-        self.log = TravelLog(config.road_length_m, config.free_flow_speed_mps)
         # (vehicle id, lane index) lists keyed by entry step, then by stop-line step
         self._arrivals: dict[int, list[tuple[int, int]]] = defaultdict(list)
         self._joins: dict[int, list[tuple[int, int]]] = {}
@@ -338,6 +316,26 @@ class IntersectionSim:
         """The view the last step returned, or the pre-step view before the first."""
         return self._view
 
+    @property
+    def log(self) -> TravelLog:
+        """A new travel log, built from the lanes on each read.
+
+        Entry = stop-line step - free-flow steps.  The records come lane by
+        lane, each lane's in stop-line order, so they are in lane order
+        rather than entry order.  `run_episode` reads each log once, at the
+        end of the episode.
+        """
+        log = TravelLog(self.config.road_length_m, self.config.free_flow_speed_mps)
+        records, ff = log.records, self._ff_steps
+        for lane in self.state.lanes:
+            # the departure steps run out first: the rest are still on the lane
+            for vid, ready, depart in zip_longest(lane.vehicle_ids, lane.ready_steps,
+                                                  lane.depart_steps):
+                if vid in records:
+                    raise SimulationError(f"vehicle {vid} entered twice")
+                records[vid] = _VehicleRecord(ready - ff, ready, depart)
+        return log
+
     # -- dynamics ------------------------------------------------------------
 
     def step(self, action: int) -> StepView:
@@ -383,7 +381,6 @@ class IntersectionSim:
                 lanes[j].vehicle_ids.append(vid)
                 lanes[j].ready_steps.append(ready)
                 counts[j] += 1
-                self.log.record_entry(vid, t, ready)
             self._joins[ready] = arrivals
 
         # (c) queue join: entry order is stop-line order on every lane
@@ -399,13 +396,18 @@ class IntersectionSim:
         cost, gain, cap = self._tick_cost, self._tick_gain, self._tick_cap
         for j in green:
             lane = lanes[j]
-            credit = gain if mask is not last and not last[j] else min(lane.credit + gain, cap)
+            if mask is not last and not last[j]:
+                credit = gain
+            else:
+                credit = lane.credit + gain
+                if credit > cap:
+                    credit = cap
             if queues[j] and credit >= cost:
                 head, at_line = lane.departed, lane.ready
                 while credit >= cost and head < at_line:
                     vid = lane.vehicle_ids[head]
                     ready_sums[j] -= lane.ready_steps[head]
-                    self.log.record_departure(vid, t)
+                    lane.depart_steps.append(t)
                     departures.append(vid)
                     head += 1
                     credit -= cost
@@ -432,12 +434,11 @@ class IntersectionSim:
         the last one run.  Mid-transition the phase trace keeps the outgoing
         phase.
         """
-        horizon, records = self.state.clock_s, self.log.records
+        horizon = self.state.clock_s
         queues = np.empty((horizon, self.config.lane_count), dtype=np.int64)
         for j, lane in enumerate(self.state.lanes):
-            departs = [records[vid].depart_s for vid in lane.vehicle_ids[:lane.departed]]
             np.subtract(np.bincount(lane.ready_steps, minlength=horizon)[:horizon],
-                        np.bincount(departs, minlength=horizon), out=queues[:, j])
+                        np.bincount(lane.depart_steps, minlength=horizon), out=queues[:, j])
         np.cumsum(queues, axis=0, out=queues)
         starts, phase_indices = zip(*self._phase_starts)
         phases = np.repeat(np.array(phase_indices, dtype=np.int64), np.diff(starts + (horizon,)))
@@ -464,13 +465,20 @@ class EpisodeResult:
 
 
 def validate_demand(network: NetworkConfig, demand: Sequence[Vehicle]) -> None:
-    """Fail fast before simulation on a route that references a missing lane,
-    does not follow a network link from one hop to the next, or enters an
-    intersection twice (each intersection logs a vehicle once).
+    """Fail fast before simulation on a vehicle id that two vehicles share
+    (the episode routes and logs vehicles by id), or on a route that
+    references a missing lane, does not follow a network link from one hop
+    to the next, or enters an intersection twice (each intersection logs a
+    vehicle once).
 
     Each distinct route object is checked once, at the first vehicle that
     carries it; ``demand`` keeps every route alive, so its ``id`` is a safe key.
     """
+    seen: set[int] = set()
+    for veh in demand:
+        if veh.id in seen:
+            raise ConfigError(f"demand: vehicle id {veh.id} is used by more than one vehicle")
+        seen.add(veh.id)
     links = network.links
     checked: set[int] = set()
     for veh in demand:
@@ -522,10 +530,10 @@ def run_episode(
     """Step every intersection once per second for `horizon_s` seconds.
 
     Vehicles departing an intersection re-enter the next intersection of
-    their route after the network link travel time.  The reward, phase and
-    queue traces are built once, at the end of the episode, from the events
-    each sim recorded.  Fully deterministic for a given (network,
-    controllers, demand, seed).
+    their route after the network link travel time.  The travel logs and
+    the reward, phase and queue traces are built once, at the end of the
+    episode, from the lanes and phase switches each sim recorded.  Fully
+    deterministic for a given (network, controllers, demand, seed).
     """
     if horizon_s <= 0:
         raise ConfigError("horizon: horizon_s must be positive")

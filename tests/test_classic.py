@@ -219,7 +219,7 @@ def test_sotl_controller_switches_under_red_pressure():
     demand = generate_uniform(rates, lanes, 300.0)
     result = run_episode(net, [SotlController(cfg)], demand, horizon_s=600)
     assert 1 in result.phase_traces[0]
-    assert len(result.travel_logs[0].delays()) > 0
+    assert any(r.depart_s is not None for r in result.travel_logs[0].records.values())
 
 
 @pytest.mark.parametrize("thresholds", [{"theta_red": -1.0}, {"theta_green": -0.5}])

@@ -181,6 +181,9 @@ def test_sweep_sotl_grid(tmp_path, capsys):
     ("[1, 2]", "sweep: expected a mapping, got list"),
     ("{kind: sotl-grid, theta_reds: [1.0]}", "sweep.theta_reds: unknown key"),
     ("{kind: sotl-grid, theta_red: []}", "sweep.theta_red: need at least one threshold"),
+    ("{kind: sotl-grid, theta_red: [-1.0]}", "sweep.theta_red: thresholds must be >= 0"),
+    ("{kind: sotl-grid, theta_green: [1.0, -0.5]}",
+     "sweep.theta_green: thresholds must be >= 0"),
     ("{kind: bogus}", "sweep.kind: 'bogus' not in"),
 ])
 def test_bad_sweep_section_exits_1(tmp_path, capsys, sweep, key):

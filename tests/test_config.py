@@ -44,12 +44,9 @@ def test_parse_lane_label_defaults_intersection_zero():
     assert parse_lane_label("WT") == LaneId(0, Approach.W, Movement.T)
 
 
-def test_parse_lane_label_uses_caller_default():
-    assert parse_lane_label("NT", intersection=3) == LaneId(3, Approach.N, Movement.T)
-
-
 def test_parse_lane_label_with_explicit_intersection():
     assert parse_lane_label("2:ET") == LaneId(2, Approach.E, Movement.T)
+    assert parse_lane_label("3:NT") == LaneId(3, Approach.N, Movement.T)
 
 
 def test_parse_lane_label_tolerates_whitespace():

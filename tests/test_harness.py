@@ -340,11 +340,14 @@ def test_run_sweep_ablation_points_equal_runs_with_the_variant_overrides(tmp_pat
 
 
 def test_run_sweep_rejects_a_bad_point_before_any_seed_runs(tmp_path, monkeypatch):
-    cfg = classic_cfg(tmp_path, seeds=[0, 1], episodes=1)
-    cfg.sweep = SweepSection("sotl-grid", [2.0, 4.0, -1.0], [1.0, 2.0])
+    # the document check passes this config: only building the point refuses it
+    cfg = rl_cfg(tmp_path, train_episodes=1)
+    cfg.run.seeds = [0, 1]
+    cfg.sweep = SweepSection("ablation")
+    monkeypatch.setattr(harness, "ABLATION_VARIANTS", {"good": {}, "bad": {"gama": 1.0}})
     runs = []
     monkeypatch.setattr(harness, "run_seed", lambda *args, **kwargs: runs.append(args))
-    with pytest.raises(ConfigError, match=r"sotl\[r=-1,g=1\]: controller\.theta_red"):
+    with pytest.raises(ConfigError, match=r"^sweep point bad: controller\.agent\.gama"):
         harness.run_sweep(cfg)
     assert runs == []
     assert not (tmp_path / "results.csv").exists()

@@ -12,15 +12,13 @@ from greenlight.metrics import (
     compute_metrics,
     detect_convergence,
 )
-from greenlight.sim import TravelLog
+from greenlight.sim import TravelLog, _VehicleRecord
 
 
 def drained_log() -> TravelLog:
     log = TravelLog(300.0, 10.0)
-    log.record_entry(0, 0, 30)
-    log.record_departure(0, 35)  # waited 5
-    log.record_entry(1, 2, 32)
-    log.record_departure(1, 40)  # waited 8
+    log.records[0] = _VehicleRecord(0, 30, 35)  # waited 5
+    log.records[1] = _VehicleRecord(2, 32, 40)  # waited 8
     return log
 
 
@@ -51,7 +49,7 @@ def test_identity_zero_residual_when_drained():
 def test_identity_exposes_trace_mismatch():
     # a pending vehicle appears in the queue trace but not in the delays
     log = drained_log()
-    log.record_entry(2, 10, 40)  # never departs
+    log.records[2] = _VehicleRecord(10, 40)  # never departs
     m = compute_metrics(log, matching_trace(13 + 7))
     assert m.pending == 1
     residual = check_identity(m)
@@ -76,7 +74,7 @@ def test_trace_rounding_tolerates_float_noise():
 def test_censored_travel_time_charges_pending_vehicles():
     log = drained_log()
     assert censored_avg_travel_time(log, 50) == pytest.approx(13 / 2 + 30.0)
-    log.record_entry(2, 12, 42)  # still waiting at the horizon
+    log.records[2] = _VehicleRecord(12, 42)  # still waiting at the horizon
     # waited (50 - 42) = 8 so far: (13 + 8)/3 + 30
     assert censored_avg_travel_time(log, 50) == pytest.approx(21.0 / 3.0 + 30.0)
 
@@ -87,7 +85,7 @@ def test_censored_travel_time_empty_is_none():
 
 def test_censored_vehicle_not_yet_ready_contributes_nothing():
     log = TravelLog(300.0, 10.0)
-    log.record_entry(0, 95, 125)  # ready after the horizon
+    log.records[0] = _VehicleRecord(95, 125)  # ready after the horizon
     assert censored_avg_travel_time(log, 100) == pytest.approx(30.0)
 
 

@@ -18,6 +18,7 @@ from greenlight.core import (
 )
 from greenlight.classic import FixedTimeController
 from greenlight.demand import straight_route
+from greenlight.metrics import log_totals
 from greenlight.sim import (
     CHANGE,
     KEEP,
@@ -36,6 +37,11 @@ def lane(label: str, intersection: int = 0) -> LaneId:
 
 def make_sim(**overrides) -> IntersectionSim:
     return IntersectionSim(build_standard_intersection(2, **overrides))
+
+
+def delays(log) -> list[int]:
+    """Waiting steps (depart - ready) of every departed vehicle, in log order."""
+    return [r.depart_s - r.ready_s for r in log.records.values() if r.depart_s is not None]
 
 
 def arrive(sim: IntersectionSim, vehicle_id: int, label: str, entry_time_s: float) -> None:
@@ -103,7 +109,7 @@ def test_single_vehicle_full_green_passage():
     assert departures == [7]
     rec = sim.log.records[7]
     assert (rec.entry_s, rec.ready_s, rec.depart_s) == (0, 30, 30)
-    assert sim.log.delays() == [0]
+    assert delays(sim.log) == [0]
 
 
 def test_free_flow_vehicle_counts_but_does_not_queue():
@@ -116,6 +122,15 @@ def test_free_flow_vehicle_counts_but_does_not_queue():
     assert out.stopped_fraction.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
+def test_log_refuses_a_vehicle_id_on_two_lanes():
+    sim = make_sim()
+    arrive(sim, 3, "WT", 0.0)
+    arrive(sim, 3, "NT", 0.0)
+    sim.step(KEEP)
+    with pytest.raises(SimulationError, match="vehicle 3 entered twice"):
+        sim.log
+
+
 def test_red_lane_vehicle_waits_and_is_censored():
     # NT is red under phase 0; with keep-forever the vehicle never departs.
     sim = make_sim()
@@ -123,11 +138,11 @@ def test_red_lane_vehicle_waits_and_is_censored():
     rewards = []
     for _ in range(40):
         rewards.append(sim.step(KEEP).reward)
-    assert sim.log.entered_count() - len(sim.log.delays()) == 1
+    assert len(sim.log.records) - len(delays(sim.log)) == 1
     # queued (post-movement) from ready=30 through t=39: ten snapshots
     assert rewards[:30] == [0.0] * 30
     assert rewards[30:] == [-1.0] * 10
-    assert sim.log.censored_waiting(40) == 10
+    assert log_totals(sim.log, 40).censored_waiting == 10
 
 
 # -- discharge headway -------------------------------------------------------
@@ -147,7 +162,7 @@ def test_discharge_every_other_second_at_headway_two():
         for vid in out.departures:
             departs[vid] = t
     assert [departs[v] for v in range(4)] == [30, 32, 34, 36]
-    assert sim.log.delays() == [0, 2, 4, 6]
+    assert delays(sim.log) == [0, 2, 4, 6]
     # post-movement queue snapshots sum to the summed delays
     assert sum(queue_trace) == 12
     assert queue_trace[30:37] == [3, 3, 2, 2, 1, 1, 0]
@@ -403,6 +418,27 @@ def test_validate_demand_rejects_unlinked_hops_and_revisits(grid, phases, route,
     assert decisions == []
 
 
+def test_validate_demand_rejects_a_shared_vehicle_id_before_any_step():
+    """Routing and logs are keyed by vehicle id, so a second vehicle 5 would
+    take over the first one's route: the first would never reach
+    intersection 1, yet the episode would count two network departures."""
+    net = build_grid_network(1, 2, build_standard_intersection(2))
+    demand = [Vehicle(5, 0.0, (lane("WT", 0), lane("WT", 1))),
+              Vehicle(5, 0.0, (lane("NT", 1),))]
+    with pytest.raises(ConfigError, match="vehicle id 5 is used by more than one vehicle"):
+        validate_demand(net, demand)
+    decisions = []
+
+    class Recording(KeepPhase):
+        def decide(self, view):
+            decisions.append(view.clock_s)
+            return KEEP
+
+    with pytest.raises(ConfigError, match="vehicle id 5"):
+        run_episode(net, [Recording(), Recording()], demand, horizon_s=200)
+    assert decisions == []
+
+
 def test_route_advances_across_grid_link():
     # 1x2 grid, both phase-0 greens include WT: departs intersection 0 at 30,
     # travels the 30s link, enters intersection 1 at 60, ready at 90, departs
@@ -425,8 +461,8 @@ def test_partial_route_is_not_a_network_departure():
     demand = [Vehicle(0, 0.0, route)]
     controllers = [KeepPhase(), KeepPhase()]
     result = run_episode(net, controllers, demand, horizon_s=70)
-    assert len(result.travel_logs[0].delays()) == 1
-    assert len(result.travel_logs[1].delays()) == 0
+    assert len(delays(result.travel_logs[0])) == 1
+    assert len(delays(result.travel_logs[1])) == 0
     assert result.network_departures == 0
 
 

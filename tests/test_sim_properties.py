@@ -17,9 +17,19 @@ from greenlight.core import (
     Vehicle,
     build_grid_network,
     build_standard_intersection,
+    single_intersection_network,
 )
 from greenlight.demand import straight_route
-from greenlight.sim import CHANGE, KEEP, BaseController, IntersectionSim, run_episode
+from greenlight.metrics import EpisodeMetrics, log_totals, pooled_metrics
+from greenlight.sim import (
+    CHANGE,
+    KEEP,
+    BaseController,
+    IntersectionSim,
+    TravelLog,
+    _VehicleRecord,
+    run_episode,
+)
 
 HEADWAYS = [1 / 3, 0.5, 0.7, 2.0, 2.2, 10.0]
 LANE_IDS = [LaneId(0, a, m) for a in Approach for m in Movement]
@@ -202,7 +212,8 @@ def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells, 
         all_red.append(not out.green_mask.any())
         reward_sum += out.reward
         log = sim.log
-        assert log.entered_count() == len(log.delays()) + sum(out.counts)
+        departed = sum(rec.depart_s is not None for rec in log.records.values())
+        assert len(log.records) == departed + sum(out.counts)
         queues, counts, waiting = measures_reference(cfg, log, lane_of, t + 1)
         assert out.queues == tuple(queues)
         assert out.counts == tuple(counts)
@@ -211,7 +222,7 @@ def test_engine_matches_exact_replay_and_per_vehicle_occupancy(scenario, cells, 
                                                  for q, v in zip(queues, counts)]
         assert out.reward == -sum(queues)
         assert math.copysign(1.0, out.reward) == (-1.0 if any(queues) else 1.0)  # no -0.0
-        assert -reward_sum == log.censored_waiting(t + 1)
+        assert -reward_sum == log_totals(log, t + 1).censored_waiting
         expected = occupancy_reference(cfg, log, lane_of, t + 1, cells)
         assert np.array_equal(sim.occupancy_vector(cells), expected)
 
@@ -307,3 +318,159 @@ def test_episode_traces_hold_every_view_run_episode_handed_out(data):
             assert rewards[t] == view.reward
             assert phases[t] == view.phase_index
             assert tuple(queues[t]) == view.queues
+
+
+# -- the lanes as the travel ledger ---------------------------------------------
+
+
+def ledger_reference(network, demand, controllers, horizon):
+    """Per intersection, vehicle id -> (entry, ready, departure or None),
+    walked along each route: a hop is entered at its arrival step if that
+    step ran, is ready free-flow steps later, and departs at the step whose
+    view lists the vehicle; the next hop arrives a link time after that."""
+    departs = [{vid: view.clock_s - 1 for view in ctrl.after for vid in view.departures}
+               for ctrl in controllers]
+    ledgers = [{} for _ in network.intersections]
+    for veh in demand:
+        arrival = IntersectionSim.entry_step(veh.entry_time_s)
+        for lane in veh.route:
+            if arrival >= horizon:
+                break
+            i = lane.intersection
+            ff = math.ceil(network.intersections[i].free_flow_time_s - 1e-9)
+            depart = departs[i].get(veh.id)
+            ledgers[i][veh.id] = (arrival, arrival + ff, depart)
+            if depart is None:
+                break
+            arrival = IntersectionSim.entry_step(depart + network.link_travel_time_s)
+    return ledgers
+
+
+def assert_logs_match_ledger(network, demand, controllers, horizon):
+    result = run_episode(network, controllers, demand, horizon)
+    lane_of = {(lane.intersection, veh.id): lane for veh in demand for lane in veh.route}
+    for i, (log, expected) in enumerate(zip(result.travel_logs,
+                                            ledger_reference(network, demand, controllers,
+                                                             horizon))):
+        records = {vid: (r.entry_s, r.ready_s, r.depart_s) for vid, r in log.records.items()}
+        assert records == expected
+        # lane after lane, each lane's vehicles in stop-line order
+        cfg = network.intersections[i]
+        order = [(cfg.lane_index(lane_of[i, vid]), rec.ready_s)
+                 for vid, rec in log.records.items()]
+        assert order == sorted(order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_grid_logs_equal_the_ledger_of_the_routes_and_views(data):
+    rows, cols = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    network = build_grid_network(rows, cols, build_standard_intersection(
+        data.draw(st.sampled_from([2, 4])),
+        saturation_headway_s=data.draw(st.sampled_from(HEADWAYS)),
+        min_green_s=data.draw(st.integers(1, 8)),
+        road_length_m=data.draw(st.sampled_from([60.0, 100.0])),
+    ))
+    horizon = data.draw(st.integers(1, 150))
+    lanes = [lane for cfg in network.intersections for lane in cfg.lanes]
+    arrivals = data.draw(st.lists(
+        st.tuples(st.sampled_from(lanes), st.floats(0.0, horizon, allow_nan=False)),
+        max_size=80,
+    ))
+    demand = [Vehicle(vid, entry, straight_route(network, lane))
+              for vid, (lane, entry) in enumerate(arrivals)]
+    controllers = [
+        _ViewRecorder(data.draw(st.lists(st.sampled_from([KEEP, CHANGE]),
+                                         min_size=horizon, max_size=horizon)))
+        for _ in network.intersections
+    ]
+    assert_logs_match_ledger(network, demand, controllers, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(overlapping=True))
+def test_shared_lane_logs_equal_the_ledger_of_the_views(scenario):
+    cfg, arrivals, actions = scenario
+    network = single_intersection_network(cfg)
+    demand = [Vehicle(vid, entry, (cfg.lanes[j],)) for vid, (j, entry) in enumerate(arrivals)]
+    assert_logs_match_ledger(network, demand, [_ViewRecorder(actions)], len(actions))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(), st.data())
+def test_reading_the_log_mid_episode_leaves_the_final_records_unchanged(scenario, data):
+    """A read shows, after step t, every vehicle entered by t with its final
+    entry and stop-line steps, and its departure step once it is <= t."""
+    cfg, arrivals, actions = scenario
+    reads = data.draw(st.sets(st.integers(0, len(actions) - 1)))
+    read, unread = IntersectionSim(cfg), IntersectionSim(cfg)
+    schedule(read, cfg, arrivals)
+    schedule(unread, cfg, arrivals)
+    snapshots = {}
+    for t, action in enumerate(actions):
+        read.step(action)
+        unread.step(action)
+        if t in reads:
+            snapshots[t] = {vid: (r.entry_s, r.ready_s, r.depart_s)
+                            for vid, r in read.log.records.items()}
+    final = read.log.records
+    assert final == unread.log.records
+    for t, snapshot in snapshots.items():
+        assert snapshot == {
+            vid: (r.entry_s, r.ready_s,
+                  r.depart_s if r.depart_s is not None and r.depart_s <= t else None)
+            for vid, r in final.items() if r.entry_s <= t
+        }
+
+
+def pooled_reference(logs, traces):
+    """Network metrics in several passes over the records, one per quantity."""
+    entered = sum(len(log.records) for log in logs)
+    delays = [r.depart_s - r.ready_s for log in logs for r in log.records.values()
+              if r.depart_s is not None]
+    departed, total_w = len(delays), sum(delays)
+    trace_w = sum(int(round(-float(np.asarray(t, dtype=float).sum()))) for t in traces)
+    censored_w = sum(max(0, (len(t) if r.depart_s is None else r.depart_s) - r.ready_s)
+                     for log, t in zip(logs, traces) for r in log.records.values())
+    firsts = [r.entry_s for log in logs for r in log.records.values()]
+    lasts = [r.depart_s for log in logs for r in log.records.values() if r.depart_s is not None]
+    tau = max(lasts) - min(firsts) if lasts else 0
+    lmu = next((log.free_flow_time_s for log in logs if log.records), logs[0].free_flow_time_s)
+    avg_delay = total_w / departed if departed else float("nan")
+    return EpisodeMetrics(
+        avg_travel_time_s=avg_delay + lmu, avg_delay_s=avg_delay, throughput=departed,
+        avg_queue=trace_w / tau if tau > 0 else 0.0, total_waiting_events=total_w,
+        trace_waiting_events=trace_w, tau_s=tau, vehicles=departed, entered=entered,
+        pending=entered - departed,
+        censored_avg_travel_time_s=censored_w / entered + lmu if entered else float("nan"),
+        free_flow_time_s=lmu, empty=entered == 0,
+    )
+
+
+@st.composite
+def logs_and_traces(draw):
+    """1 to 4 logs of different free-flow times, each with a reward trace:
+    empty logs, and vehicles departed, queued, or not yet at the stop line
+    when the trace ends; all pending when no vehicle departs."""
+    all_pending = draw(st.booleans())
+    logs, traces = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        log = TravelLog(draw(st.sampled_from([100.0, 300.0])), draw(st.sampled_from([7.0, 10.0])))
+        horizon = draw(st.integers(1, 120))
+        ff = draw(st.integers(0, 40))
+        vehicles = draw(st.lists(st.tuples(st.integers(0, 120), st.none() if all_pending
+                                           else st.none() | st.integers(0, 60)), max_size=30))
+        for vid, (entry, wait) in enumerate(vehicles):
+            ready = entry + ff
+            log.records[vid] = _VehicleRecord(entry, ready, None if wait is None else ready + wait)
+        logs.append(log)
+        traces.append(-np.array(draw(st.lists(st.integers(0, 9), min_size=horizon,
+                                              max_size=horizon)), dtype=float))
+    return logs, traces
+
+
+@settings(max_examples=200, deadline=None)
+@given(logs_and_traces())
+def test_one_pass_pooled_metrics_equal_the_multi_pass_reference(case):
+    logs, traces = case
+    assert repr(vars(pooled_metrics(logs, traces))) == repr(vars(pooled_reference(logs, traces)))
