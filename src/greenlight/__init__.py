@@ -71,10 +71,8 @@ from .demand import (
     ArrivalProcess,
     DemandSpec,
     RateWindow,
-    generate_peaked,
     generate_uniform,
     load_demand_csv,
-    save_demand_csv,
     straight_route,
 )
 from .metrics import (

@@ -257,9 +257,6 @@ class QNetwork:
         """Live views: trunk w, b per layer, then head k's (2, H) and (2,) per k."""
         return self._listed(self.theta)
 
-    def parameter_count(self) -> int:
-        return self.theta.size
-
     def copy(self) -> "QNetwork":
         clone = object.__new__(QNetwork)
         clone.__setstate__({**self.__getstate__(), "theta": self.theta.copy()})

@@ -42,9 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, config_required: bool = True) -> None:
-        p.add_argument("--config", required=config_required,
-                       help="experiment YAML file")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="experiment YAML file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, action="append", default=None,
                        help="override run seeds (repeatable)")

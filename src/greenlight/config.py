@@ -321,20 +321,28 @@ def _check_controller(ctrl: ControllerSection) -> None:
 @dataclass(frozen=True)
 class Plan:
     """A config resolved once, before any run: what every seed and every
-    sweep point draws from.  Both demands are resolved over `run.horizon_s`,
-    and training draws `demand` too, whatever `train.horizon_s` is;
-    `deploy_demand` is `demand` itself when the config has no such section.
+    sweep point draws from.  `demand` and `deploy_demand` are resolved over
+    `run.horizon_s`; `deploy_demand` is `demand` itself when the config has
+    no such section.  `train_demand`, what an `rl` controller trains on, is
+    the `demand` section resolved over `train.horizon_s`: `demand` itself
+    when the two horizons match, when the section is a file (a file is read
+    once) and for a controller that never trains.
     """
     cfg: ExperimentConfig
     network: NetworkConfig
     agent: AgentConfig
     demand: ResolvedDemand
     deploy_demand: ResolvedDemand
+    train_demand: ResolvedDemand
 
     def with_controller(self, controller: ControllerSection) -> Plan:
-        """This plan under another controller section, which alone is resolved."""
+        """This plan under another controller section, which alone is
+        resolved; a plan that starts to train is resolved afresh, since its
+        training demand may change."""
         _check_controller(controller)
         cfg = replace(self.cfg, controller=controller)
+        if controller.kind == "rl" and self.cfg.controller.kind != "rl":
+            return resolve(cfg)
         return replace(self, cfg=cfg, agent=_resolve_controller(
             cfg, self.network, self.demand, self.deploy_demand))
 
@@ -352,7 +360,19 @@ def resolve(cfg: ExperimentConfig) -> Plan:
     demand = resolve_demand(cfg.demand, network, horizon, key="demand")
     deploy = (resolve_demand(cfg.deploy_demand, network, horizon, key="deploy_demand")
               if cfg.deploy_demand is not None else demand)
-    return Plan(cfg, network, _resolve_controller(cfg, network, demand, deploy), demand, deploy)
+    train_horizon = _train_horizon(cfg)
+    train = (resolve_demand(cfg.demand, network, train_horizon, key="demand")
+             if train_horizon != horizon and cfg.demand.kind != "file" else demand)
+    return Plan(cfg, network, _resolve_controller(cfg, network, demand, deploy),
+                demand, deploy, train)
+
+
+def _train_horizon(cfg: ExperimentConfig) -> int:
+    """The horizon an episode trains for: `train.horizon_s` (by default
+    `run.horizon_s`) for `rl`, and `run.horizon_s` for a controller that
+    never trains."""
+    horizon = cfg.run.horizon_s
+    return (cfg.train.horizon_s or horizon) if cfg.controller.kind == "rl" else horizon
 
 
 def _resolve_controller(cfg: ExperimentConfig, network: NetworkConfig,
@@ -366,8 +386,7 @@ def _resolve_controller(cfg: ExperimentConfig, network: NetworkConfig,
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"controller.agent: {exc}") from None
     horizon = cfg.run.horizon_s
-    train_horizon = (cfg.train.horizon_s or horizon) if ctrl.kind == "rl" else horizon
-    for key, resolved, horizons in (("demand", demand, {horizon, train_horizon}),
+    for key, resolved, horizons in (("demand", demand, {horizon, _train_horizon(cfg)}),
                                     ("deploy_demand", deploy, {horizon})):
         if resolved.multi_hop:
             for horizon_s in sorted(horizons):
@@ -481,7 +500,7 @@ def resolve_demand(section: DemandSection, network: NetworkConfig, horizon_s: fl
     a per-lane rate mapping leaves the entry lanes it does not name empty."""
     if section.kind == "file":
         try:
-            vehicles = demand_mod.load_demand_csv(section.path, network)
+            vehicles = demand_mod.load_demand_csv(section.path)
             validate_demand(network, vehicles)
         except OSError as exc:
             raise ConfigError(f"{key}.path: cannot read {section.path}: {exc.strerror}") from None
@@ -497,20 +516,20 @@ def resolve_demand(section: DemandSection, network: NetworkConfig, horizon_s: fl
                  if isinstance(section.rate_vph, dict) else float(section.rate_vph))
         spec = demand_mod.uniform_spec(rates, entry_lanes, float(horizon_s), process)
     else:  # peaked
-        spans = demand_mod.peak_spans([tuple(w) for w in section.peak_windows], horizon_s,
+        spec = demand_mod.peaked_spec(section.base_vph, section.peak_vph,
+                                      [tuple(w) for w in section.peak_windows], entry_lanes,
+                                      horizon_s, process,
+                                      peak_lanes=_peak_lanes(section.peak_lanes, entry_lanes, key),
                                       key=f"{key}.peak_windows")
-        spec = demand_mod.peaked_spec(section.base_vph, section.peak_vph, spans, entry_lanes,
-                                      float(horizon_s), process,
-                                      peak_lanes=_peak_lanes(section.peak_lanes, entry_lanes, key))
     return ResolvedDemand(any(len(route) > 1 for route in routes.values()), spec=spec,
                           routes=routes, seed=section.seed,
                           vary=section.fresh_each_episode and section.process == "poisson")
 
 
 def build_demand_fn(section: DemandSection, network: NetworkConfig, run_seed: int,
-                    horizon_s: float, *, key: str = "demand") -> Callable[[int], list[Vehicle]]:
+                    horizon_s: float) -> Callable[[int], list[Vehicle]]:
     """The episode-indexed draws of one run seed from the resolved section."""
-    return partial(resolve_demand(section, network, horizon_s, key=key).draw, run_seed)
+    return partial(resolve_demand(section, network, horizon_s, key="demand").draw, run_seed)
 
 
 def build_webster_params(cfg: ExperimentConfig,

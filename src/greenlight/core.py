@@ -8,7 +8,7 @@ raises :class:`ConfigError` naming the first violated invariant.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 
@@ -226,7 +226,6 @@ class NetworkConfig:
 def build_standard_intersection(
     phase_count: int,
     *,
-    intersection_index: int = 0,
     road_length_m: float = 300.0,
     free_flow_speed_mps: float = 10.0,
     saturation_headway_s: float = 2.0,
@@ -243,7 +242,7 @@ def build_standard_intersection(
         raise ConfigError(f"phase_count: unsupported phase count {phase_count} (expected 2 or 4)")
 
     def lane(approach: Approach, movement: Movement) -> LaneId:
-        return LaneId(intersection_index, approach, movement)
+        return LaneId(0, approach, movement)
 
     through = [lane(a, Movement.T) for a in (Approach.W, Approach.E, Approach.N, Approach.S)]
     lanes: list[LaneId] = list(through)
@@ -280,16 +279,7 @@ def _reindex(base: IntersectionConfig, index: int) -> IntersectionConfig:
         PhaseDefinition(frozenset(mapping[lane] for lane in p.green_lanes), p.label)
         for p in base.phases
     )
-    return IntersectionConfig(
-        lanes=lanes,
-        phases=phases,
-        road_length_m=base.road_length_m,
-        free_flow_speed_mps=base.free_flow_speed_mps,
-        saturation_headway_s=base.saturation_headway_s,
-        yellow_s=base.yellow_s,
-        all_red_s=base.all_red_s,
-        min_green_s=base.min_green_s,
-    )
+    return replace(base, lanes=lanes, phases=phases)
 
 
 def single_intersection_network(config: IntersectionConfig) -> NetworkConfig:

@@ -1,4 +1,4 @@
-"""Demand synthesis and demand-file I/O.
+"""Demand synthesis and the demand-file reader.
 
 Arrival profiles are piecewise-constant rates per lane.  Two processes:
 ``deterministic`` spaces vehicles exactly 3600/rate seconds apart (offset 0
@@ -9,7 +9,9 @@ seeded generator, one independent substream per lane.
 The on-disk format is a CSV with header
 ``vehicle_id,entry_time_s,intersection,approach,movement`` and, for routes
 crossing several intersections, additional ``intersection,approach,movement``
-triples appended to the row.
+triples appended to the row.  `load_demand_csv` only parses it; the rules on
+vehicle ids, lanes and routes are `sim.validate_demand`'s, which checks the
+vehicles against a network.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -170,9 +172,11 @@ def peaked_spec(base_vph: float, peak_vph: float,
                 lanes: Sequence[LaneId], horizon_s: float,
                 process: ArrivalProcess = ArrivalProcess.DETERMINISTIC,
                 seed: int = 0,
-                peak_lanes: Sequence[LaneId] | None = None) -> DemandSpec:
-    """Base-rate demand with elevated-rate windows (on all or selected lanes)."""
-    spans = peak_spans(peak_windows, horizon_s)
+                peak_lanes: Sequence[LaneId] | None = None,
+                key: str = "demand_peak") -> DemandSpec:
+    """Base-rate demand with elevated-rate windows (on all or selected lanes);
+    `peak_spans` checks the windows, under `key`."""
+    spans = peak_spans(peak_windows, horizon_s, key)
     peak_set = set(peak_lanes) if peak_lanes is not None else set(lanes)
     lane_windows = {}
     for lane in lanes:
@@ -190,17 +194,6 @@ def peaked_spec(base_vph: float, peak_vph: float,
             windows.append(RateWindow(cursor, horizon_s, base_vph))
         lane_windows[lane] = tuple(windows)
     return DemandSpec(lane_windows, horizon_s, ArrivalProcess(process), seed)
-
-
-def generate_peaked(base_vph: float, peak_vph: float,
-                    peak_windows: Sequence[tuple[float, float]],
-                    lanes: Sequence[LaneId], horizon_s: float,
-                    process: ArrivalProcess = ArrivalProcess.DETERMINISTIC,
-                    seed: int = 0, route_for_lane=None,
-                    peak_lanes: Sequence[LaneId] | None = None) -> list[Vehicle]:
-    spec = peaked_spec(base_vph, peak_vph, peak_windows, lanes, horizon_s,
-                       process, seed, peak_lanes)
-    return realize(spec, route_for_lane)
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +219,12 @@ def straight_route(network: NetworkConfig, entry_lane: LaneId) -> tuple[LaneId, 
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O
+# demand files
 
 
-def save_demand_csv(path, vehicles: Iterable[Vehicle]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DEMAND_HEADER)
-        for veh in vehicles:
-            row: list = [veh.id, repr(float(veh.entry_time_s))]
-            for hop in veh.route:
-                row.extend([hop.intersection, hop.approach.value, hop.movement.value])
-            writer.writerow(row)
-
-
-def load_demand_csv(path, network: NetworkConfig | None = None) -> list[Vehicle]:
-    """Parse and validate a demand file; errors carry the offending line."""
+def load_demand_csv(path) -> list[Vehicle]:
+    """The vehicles of a demand file, sorted by entry time then id; a
+    malformed line raises a ConfigError that names it."""
     vehicles = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -278,15 +261,5 @@ def load_demand_csv(path, network: NetworkConfig | None = None) -> list[Vehicle]
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
             vehicles.append(Vehicle(id=vid, entry_time_s=entry, route=tuple(hops)))
-    ids = [v.id for v in vehicles]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"{path}: duplicate vehicle ids")
-    if network is not None:
-        for veh in vehicles:
-            for hop in veh.route:
-                if not network.has_lane(hop):
-                    raise ConfigError(
-                        f"{path}: vehicle {veh.id} references unknown lane {hop}"
-                    )
     vehicles.sort(key=lambda v: (v.entry_time_s, v.id))
     return vehicles

@@ -151,10 +151,9 @@ def check_identity(metrics: EpisodeMetrics) -> Fraction:
     """
     if metrics.empty or metrics.vehicles == 0:
         raise ConfigError("check_identity: needs at least one departed vehicle")
-    lmu = Fraction(metrics.free_flow_time_s)  # floats are exact rationals
-    lhs = Fraction(metrics.total_waiting_events, metrics.vehicles) + lmu
-    rhs = Fraction(metrics.trace_waiting_events, metrics.vehicles) + lmu
-    return abs(lhs - rhs)
+    # l/mu is added to both sides and cancels: the residual is |W - tau*q-bar|/N
+    return Fraction(abs(metrics.total_waiting_events - metrics.trace_waiting_events),
+                    metrics.vehicles)
 
 
 @dataclass

@@ -80,9 +80,6 @@ class DenseNet:
     def input_dim(self) -> int:
         return self.layers[0].weight.shape[1]
 
-    def parameter_count(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
-
     def parameters(self) -> list[np.ndarray]:
         """Live references, interleaved (w0, b0, w1, b1, ...)."""
         out: list[np.ndarray] = []

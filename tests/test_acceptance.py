@@ -46,8 +46,8 @@ from greenlight.demand import (
     ArrivalProcess,
     DemandSpec,
     RateWindow,
-    generate_peaked,
     generate_uniform,
+    peaked_spec,
     realize,
     straight_route,
 )
@@ -162,8 +162,8 @@ def test_travel_time_identity_over_randomized_episodes(capsys):
             300.0, lanes2, window, process=ArrivalProcess.POISSON, seed=100 + ep),
         "poisson480": lambda ep: generate_uniform(
             480.0, lanes2, window, process=ArrivalProcess.POISSON, seed=900 + ep),
-        "peaked600": lambda ep: generate_peaked(
-            120.0, 600.0, [(60.0, 300.0)], lanes2, window),
+        "peaked600": lambda ep: realize(peaked_spec(
+            120.0, 600.0, [(60.0, 300.0)], lanes2, window)),
     }
     base = 0
     for make in controllers2.values():
@@ -188,8 +188,8 @@ def test_travel_time_identity_over_randomized_episodes(capsys):
         "poisson240": lambda ep: generate_uniform(
             240.0, entry, window, process=ArrivalProcess.POISSON, seed=500 + ep,
             route_for_lane=route),
-        "peaked500": lambda ep: generate_peaked(
-            150.0, 500.0, [(60.0, 300.0)], entry, window, route_for_lane=route),
+        "peaked500": lambda ep: realize(peaked_spec(
+            150.0, 500.0, [(60.0, 300.0)], entry, window), route),
     }
     grid_controllers = [
         lambda: [FixedTimeController(30.0),

@@ -247,7 +247,7 @@ def test_theta_layout_is_trunk_then_head_weights_then_head_biases():
     net = QNetwork(3, 4, hidden_dims=(5, 2), rng=np.random.default_rng(0))
     params = net.parameters()
     assert [p.shape for p in params] == [(5, 3), (5,), (2, 5), (2,)] + [(2, 2), (2,)] * 4
-    assert net.parameter_count() == net.theta.size == sum(p.size for p in params)
+    assert net.theta.size == sum(p.size for p in params)
     assert np.array_equal(net.head_w.ravel(), net.theta[-4 * 2 * 2 - 4 * 2:-4 * 2])
     assert np.array_equal(net.head_b.ravel(), net.theta[-4 * 2:])
     for p in params:

@@ -10,6 +10,7 @@ from greenlight import demand as demand_mod
 from greenlight.config import parse_config
 from greenlight.core import Approach, LaneId, Movement, Vehicle
 from greenlight.neural import GradCheckResult
+from test_demand import write_demand_csv
 
 
 W_T = LaneId(0, Approach.W, Movement.T)
@@ -206,13 +207,13 @@ def test_a_demand_file_is_read_once_per_command(tmp_path, capsys, monkeypatch):
     reads = []
     load = demand_mod.load_demand_csv
 
-    def counted(path, network=None):
+    def counted(path):
         reads.append(path)
-        return load(path, network)
+        return load(path)
 
     monkeypatch.setattr(demand_mod, "load_demand_csv", counted)
     demand_path = tmp_path / "demand.csv"
-    demand_mod.save_demand_csv(demand_path, [Vehicle(i, 4.0 * i, (W_T,)) for i in range(10)])
+    write_demand_csv(demand_path, [Vehicle(i, 4.0 * i, (W_T,)) for i in range(10)])
     path = write_yaml(tmp_path, f"""\
         demand:
           kind: file
@@ -384,6 +385,44 @@ def test_validate_config_bad_demand_file_exits_1(tmp_path, capsys, section, prob
     assert "OK" not in captured.out
     assert "config error" in captured.err and f"{section}.path" in captured.err
     assert message in captured.err
+
+
+@pytest.mark.parametrize("section", ["demand", "deploy_demand"])
+@pytest.mark.parametrize("rows, message", [
+    ("0,1.0,0,W,T\n0,2.0,0,E,T\n", "demand: vehicle id 0 is used by more than one vehicle"),
+    ("0,1.0,0,W,L\n", "demand_route: vehicle 0 references missing lane 0:WL"),
+])
+def test_a_demand_file_that_parses_is_checked_by_validate_demand(tmp_path, capsys, section,
+                                                                  rows, message):
+    # the reader only parses; validate-config and run refuse the vehicles
+    # through sim.validate_demand, before any out dir exists
+    demand_path = tmp_path / "demand.csv"
+    demand_path.write_text("vehicle_id,entry_time_s,intersection,approach,movement\n" + rows)
+    assert demand_mod.load_demand_csv(demand_path)
+    path = file_demand_config(tmp_path, section, demand_path)
+    for command in ("validate-config", "run"):
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        assert f"config error: {section}.path: {message}" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_peak_window_past_the_training_horizon_is_refused(tmp_path, capsys):
+    with open(tiny_config(tmp_path, "rl")) as fh:
+        doc = yaml.safe_load(fh)
+    doc["run"]["horizon_s"] = 120
+    doc["demand"] = {"kind": "peaked", "peak_windows": [[60, 120]]}
+    path = tmp_path / "peaked.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    for command in ("validate-config", "run"):
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert ("config error: demand.peak_windows: peak window [60, 120] outside the "
+                "horizon [0, 60]") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    doc["controller"]["kind"] = "fixedtime"   # never trains: the run horizon alone counts
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["validate-config", "--config", str(path)]) == cli.EXIT_OK
 
 
 def test_validate_config_accepts_a_routable_demand_file(tmp_path, capsys):

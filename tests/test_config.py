@@ -28,6 +28,8 @@ from greenlight.config import (
     resolve,
 )
 from greenlight.core import Approach, ConfigError, LaneId, Movement
+from greenlight.demand import generate_uniform
+from test_demand import write_demand_csv
 
 
 def write_yaml(tmp_path, text, name="exp.yaml"):
@@ -278,12 +280,42 @@ def test_plan_with_controller_resolves_only_that_section():
         plan.with_controller(dataclasses.replace(plan.cfg.controller, theta_red=-1.0))
 
 
-def test_a_pickled_plan_draws_the_same_vehicles(tmp_path):
-    from greenlight.demand import generate_uniform, save_demand_csv
+def test_plan_trains_on_the_demand_section_over_the_training_horizon(tmp_path):
+    doc = {"demand": {"rate_vph": 360.0}, "controller": {"kind": "rl"},
+           "run": {"horizon_s": 60}, "train": {"horizon_s": 600}}
+    plan = resolve(parse_config(doc))
+    assert (plan.demand.spec.horizon_s, plan.train_demand.spec.horizon_s) == (60, 600)
+    assert len(plan.train_demand.draw(0, 0)) == 240   # one per 10 s on four lanes
+    path = tmp_path / "demand.csv"
+    write_demand_csv(path, plan.demand.draw(0, 0))
+    for same in ({"train": {"horizon_s": 60}}, {"controller": {"kind": "fixedtime"}},
+                 {"demand": {"kind": "file", "path": str(path)}}):
+        plan = resolve(parse_config({**doc, **same}))
+        assert plan.train_demand is plan.demand, same
+    # a sweep point that starts to train gets the training horizon's demand
+    fixed = resolve(parse_config({**doc, "controller": {"kind": "fixedtime"}}))
+    learner = fixed.with_controller(dataclasses.replace(fixed.cfg.controller, kind="rl"))
+    assert learner.train_demand.spec.horizon_s == 600
 
+
+def test_resolve_checks_each_peaked_sections_windows_once(monkeypatch):
+    calls = []
+    spans = config_mod.demand_mod.peak_spans
+
+    def counted(windows, horizon_s, key="demand_peak"):
+        calls.append(key)
+        return spans(windows, horizon_s, key)
+
+    monkeypatch.setattr(config_mod.demand_mod, "peak_spans", counted)
+    resolve(parse_config({"network": {"kind": "grid", "rows": 1, "cols": 2},
+                          "demand": PEAKED_1X2, "deploy_demand": PEAKED_1X2}))
+    assert calls == ["demand.peak_windows", "deploy_demand.peak_windows"]
+
+
+def test_a_pickled_plan_draws_the_same_vehicles(tmp_path):
     path = tmp_path / "deploy.csv"
     lanes = build_network(parse_config({})).intersections[0].lanes
-    save_demand_csv(path, generate_uniform(360.0, lanes, 60.0))
+    write_demand_csv(path, generate_uniform(360.0, lanes, 60.0))
     plan = resolve(parse_config({
         "network": {"kind": "grid", "rows": 2, "cols": 2},
         "demand": {"kind": "peaked", "process": "poisson", "peak_windows": [[10, 40]],
@@ -359,8 +391,6 @@ def test_build_demand_fn_rejects_non_entry_lane():
     net = build_network(cfg)
     with pytest.raises(ConfigError, match=r"^demand\.rate_vph: 1:WT is not an entry lane"):
         build_demand_fn(cfg.demand, net, run_seed=0, horizon_s=60)
-    with pytest.raises(ConfigError, match=r"^deploy_demand\.rate_vph: 1:WT is not an entry"):
-        build_demand_fn(cfg.demand, net, run_seed=0, horizon_s=60, key="deploy_demand")
 
 
 @pytest.mark.parametrize("section", ["demand", "deploy_demand"])
@@ -465,13 +495,11 @@ def test_build_demand_fn_poisson_fresh_each_episode():
 
 
 def test_build_demand_fn_file_kind_replays_saved_demand(tmp_path):
-    from greenlight.demand import generate_uniform, save_demand_csv
-
     cfg = parse_config({"demand": {"rate_vph": 360.0}})
     net = build_network(cfg)
     saved = generate_uniform(360.0, net.intersections[0].lanes, 60.0)
     path = tmp_path / "demand.csv"
-    save_demand_csv(path, saved)
+    write_demand_csv(path, saved)
 
     file_cfg = parse_config({"demand": {"kind": "file", "path": str(path)}})
     fn = build_demand_fn(file_cfg.demand, net, run_seed=9, horizon_s=60)
@@ -642,6 +670,9 @@ TINY_ROAD_M = 1.00001e-8    # a 1.00001e-9 s link: lost to rounding from step 64
                       "demand": {**PEAKED_1X2, "peak_windows": [[0, 600], [300, 900]]}}))
 @example(oracle_case({"network": GRID_1X2, "run": {"horizon_s": 3600},
                       "demand": {**PEAKED_1X2, "peak_windows": [[0, 6000]]}}))
+@example(oracle_case({"controller": RL, "run": {"horizon_s": 120},   # past the training horizon
+                      "train": {"episodes": 1, "horizon_s": 60},
+                      "demand": {**PEAKED_1X2, "peak_windows": [[60, 120]]}}))
 @example(oracle_case({"run": {"episodes": 0}}))
 @example(oracle_case({"train": {"episodes": 0}}))
 @example(oracle_case({"train": {"horizon_s": -5}}))

@@ -1,5 +1,7 @@
 """Arrival generation, routing, and demand file round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,13 @@ from greenlight.demand import (
     ArrivalProcess,
     RateWindow,
     DemandSpec,
-    generate_peaked,
     generate_uniform,
     load_demand_csv,
     peaked_spec,
-    save_demand_csv,
+    realize,
     straight_route,
 )
+from greenlight.sim import validate_demand
 
 
 def lane(label: str, intersection: int = 0) -> LaneId:
@@ -31,6 +33,17 @@ def lane(label: str, intersection: int = 0) -> LaneId:
 
 
 WT = lane("WT")
+
+
+def write_demand_csv(path, vehicles) -> None:
+    """Write `vehicles` in the demand-file format, entry times in round-trip repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(DEMAND_HEADER)
+        for veh in vehicles:
+            writer.writerow([veh.id, repr(float(veh.entry_time_s))] + [
+                field for hop in veh.route
+                for field in (hop.intersection, hop.approach.value, hop.movement.value)])
 
 
 # -- uniform arrivals --------------------------------------------------------
@@ -128,7 +141,7 @@ def test_demand_spec_requires_tiled_windows():
 
 
 def test_peaked_window_counts():
-    vehicles = generate_peaked(200.0, 600.0, [(300.0, 600.0)], [WT], 900.0)
+    vehicles = realize(peaked_spec(200.0, 600.0, [(300.0, 600.0)], [WT], 900.0))
     times = np.array([v.entry_time_s for v in vehicles])
     # base gap 18s -> 17 arrivals in [0,300); peak gap 6s -> 50 in [300,600);
     # base again -> 17 in [600,900)
@@ -138,9 +151,9 @@ def test_peaked_window_counts():
 
 def test_peaked_only_selected_lanes_surge():
     et = lane("ET")
-    vehicles = generate_peaked(
+    vehicles = realize(peaked_spec(
         200.0, 600.0, [(300.0, 600.0)], [WT, et], 900.0, peak_lanes=[WT]
-    )
+    ))
     wt_count = sum(1 for v in vehicles if v.route[0] == WT)
     et_count = sum(1 for v in vehicles if v.route[0] == et)
     assert wt_count == 84
@@ -152,6 +165,9 @@ def test_peaked_validation():
         peaked_spec(200.0, 600.0, [(100.0, 300.0), (200.0, 400.0)], [WT], 900.0)
     with pytest.raises(ConfigError):
         peaked_spec(200.0, 600.0, [(800.0, 1000.0)], [WT], 900.0)
+    with pytest.raises(ConfigError, match=r"^demand\.peak_windows: peak windows overlap"):
+        peaked_spec(200.0, 600.0, [(100.0, 300.0), (200.0, 400.0)], [WT], 900.0,
+                    key="demand.peak_windows")
 
 
 # -- routing -----------------------------------------------------------------
@@ -181,15 +197,14 @@ def test_straight_route_spans_full_grid_row():
 
 def test_demand_csv_round_trip(tmp_path):
     net = build_grid_network(1, 2, build_standard_intersection(2))
-    lanes = [l for cfg in net.intersections for l in cfg.lanes]
     vehicles = generate_uniform(
         120.0, [lane("WT", 0)], 300.0,
         route_for_lane=lambda l: straight_route(net, l),
     )
     assert vehicles and len(vehicles[0].route) == 2
     path = tmp_path / "demand.csv"
-    save_demand_csv(path, vehicles)
-    loaded = load_demand_csv(path, net)
+    write_demand_csv(path, vehicles)
+    loaded = load_demand_csv(path)
     assert loaded == vehicles
     header = path.read_text().splitlines()[0]
     assert header == ",".join(DEMAND_HEADER)
@@ -213,25 +228,18 @@ def test_demand_csv_error_names_line(tmp_path):
         load_demand_csv(path)
 
 
-def test_demand_csv_rejects_duplicate_ids(tmp_path):
-    path = tmp_path / "demand.csv"
-    path.write_text(
-        ",".join(DEMAND_HEADER) + "\n"
-        "0,1.0,0,W,T\n"
-        "0,2.0,0,E,T\n"
-    )
-    with pytest.raises(ConfigError, match="duplicate"):
-        load_demand_csv(path)
-
-
-def test_demand_csv_validates_lanes_against_network(tmp_path):
+@pytest.mark.parametrize("rows, message", [
+    ("0,1.0,0,W,T\n0,2.0,0,E,T\n", "vehicle id 0 is used by more than one vehicle"),
+    ("0,1.0,0,W,L\n", "references missing lane 0:WL"),   # no left lanes on 2 phases
+])
+def test_demand_csv_leaves_ids_and_lanes_to_validate_demand(tmp_path, rows, message):
     net = single_intersection_network(build_standard_intersection(2))
     path = tmp_path / "demand.csv"
-    path.write_text(",".join(DEMAND_HEADER) + "\n0,1.0,0,W,L\n")
-    # parses fine without a network, fails with one
-    assert len(load_demand_csv(path)) == 1
-    with pytest.raises(ConfigError, match="unknown lane"):
-        load_demand_csv(path, net)
+    path.write_text(",".join(DEMAND_HEADER) + "\n" + rows)
+    vehicles = load_demand_csv(path)
+    assert vehicles
+    with pytest.raises(ConfigError, match=message):
+        validate_demand(net, vehicles)
 
 
 def test_demand_csv_sorts_by_entry_then_id(tmp_path):

@@ -291,6 +291,26 @@ def test_run_experiment_rl_writes_curve_after_results(tmp_path):
     assert rows[0].controller == "rl"
 
 
+def test_rl_trains_on_demand_drawn_over_the_training_horizon(tmp_path, monkeypatch):
+    cfg = rl_cfg(tmp_path, train_episodes=2)
+    cfg.demand.rate_vph = 360.0
+    cfg.run.horizon_s, cfg.train.horizon_s = 60, 600
+    episodes = []
+    real_train = harness.train
+
+    def spy(agents, network, demand_fn, n_episodes, horizon_s, **kwargs):
+        episodes.extend((horizon_s, demand_fn(episode)) for episode in range(n_episodes))
+        return real_train(agents, network, demand_fn, n_episodes, horizon_s, **kwargs)
+
+    monkeypatch.setattr(harness, "train", spy)
+    harness.run_seed(resolve(cfg), 0)
+    assert len(episodes) == 2
+    for horizon_s, vehicles in episodes:
+        # one vehicle per 10 s on each of four lanes, over all 600 s
+        assert horizon_s == 600 and len(vehicles) == 240
+        assert max(v.entry_time_s for v in vehicles) == 590.0
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -82,7 +82,7 @@ def test_create_he_uniform_bounds_and_zero_bias():
 def test_parameter_count_and_interleaving():
     rng = np.random.default_rng(1)
     net = DenseNet.create([4, 8, 2], ["relu", "identity"], rng)
-    assert net.parameter_count() == 4 * 8 + 8 + 8 * 2 + 2
+    assert sum(p.size for p in net.parameters()) == 4 * 8 + 8 + 8 * 2 + 2
     shapes = [p.shape for p in net.parameters()]
     assert shapes == [(8, 4), (8,), (2, 8), (2,)]
 

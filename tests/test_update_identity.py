@@ -159,7 +159,7 @@ def test_loss_and_grads_writes_the_reference_gradient_into_out():
     phases, actions = rng.integers(4, size=16), rng.integers(2, size=16)
     targets = rng.normal(size=16)
     ref_loss, ref_grad = ref_loss_and_grad(agent.qnet, states, phases, actions, targets)
-    out = np.full(agent.qnet.parameter_count(), np.nan)
+    out = np.full(agent.qnet.theta.size, np.nan)
     loss, grad = agent.qnet.loss_and_grads(states, phases, actions, targets, out=out)
     assert grad is out and loss.hex() == ref_loss.hex() and bits(out) == bits(ref_grad)
     # without out: fresh views each call, aligned with parameters()
