@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Sequence
@@ -114,6 +114,13 @@ class AgentConfig:
             for key in self.reward_weights:
                 if RewardMode(key) is RewardMode.WEIGHTED:
                     raise ConfigError("agent_reward: weights cannot nest 'weighted'")
+
+    def training_config(self) -> "AgentConfig":
+        """The settings training reads: this config with ``online_learning``
+        on.  Training always learns (`AgentController` forces it) and only
+        deployment reads the switch, so two configs with equal training
+        configs train the same agents from the same seed."""
+        return replace(self, online_learning=True)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -445,6 +452,24 @@ class ReplayMemory:
     phases = property(lambda self: self._ints[0])
     actions = property(lambda self: self._ints[1])
     next_phases = property(lambda self: self._ints[2])
+
+    # a pickle or deep copy holds the filled rows only; restoring pads them
+    # back to capacity with the zeros an unfilled row holds
+    def __getstate__(self) -> dict:
+        size = len(self)
+        return {"capacity": self.capacity, "rng": self.rng,
+                "insertion_count": self.insertion_count, "states": self.states[:size],
+                "next_states": self.next_states[:size], "ints": self._ints[:, :size],
+                "rewards": self.rewards[:size]}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["capacity"], state["states"].shape[1], state["rng"])
+        size = len(state["rewards"])
+        self.states[:size] = state["states"]
+        self.next_states[:size] = state["next_states"]
+        self._ints[:, :size] = state["ints"]
+        self.rewards[:size] = state["rewards"]
+        self.insertion_count = state["insertion_count"]
 
     def __len__(self) -> int:
         return min(self.insertion_count, self.capacity)

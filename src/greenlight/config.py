@@ -474,9 +474,10 @@ def _mix_seed(*parts: int) -> int:
 @dataclass(frozen=True)
 class ResolvedDemand:
     """A demand section resolved against one network and one horizon: the
-    checked vehicles of a file, which every draw replays, or an arrival
-    schedule (`spec`: each entry lane's rate windows, peaks included) and one
-    route per entry lane.  ``multi_hop``: whether any route crosses a link."""
+    vehicles of a file or of a deterministic schedule, which every draw
+    replays, or a Poisson arrival schedule (`spec`: each entry lane's rate
+    windows, peaks included) and one route per entry lane.  ``multi_hop``:
+    whether any route crosses a link."""
     multi_hop: bool
     vehicles: tuple[Vehicle, ...] = ()
     spec: demand_mod.DemandSpec | None = None
@@ -497,7 +498,8 @@ def resolve_demand(section: DemandSection, network: NetworkConfig, horizon_s: fl
     """Resolve a demand section once; what does not resolve raises a
     ConfigError prefixed with ``key``, the section's name in the config.
     Generated vehicles run straight through the grid from their entry lane;
-    a per-lane rate mapping leaves the entry lanes it does not name empty."""
+    a per-lane rate mapping leaves the entry lanes it does not name empty.  A
+    file or a deterministic schedule is realized here, once."""
     if section.kind == "file":
         try:
             vehicles = demand_mod.load_demand_csv(section.path)
@@ -521,9 +523,12 @@ def resolve_demand(section: DemandSection, network: NetworkConfig, horizon_s: fl
                                       horizon_s, process,
                                       peak_lanes=_peak_lanes(section.peak_lanes, entry_lanes, key),
                                       key=f"{key}.peak_windows")
-    return ResolvedDemand(any(len(route) > 1 for route in routes.values()), spec=spec,
-                          routes=routes, seed=section.seed,
-                          vary=section.fresh_each_episode and section.process == "poisson")
+    multi_hop = any(len(route) > 1 for route in routes.values())
+    if process is demand_mod.ArrivalProcess.DETERMINISTIC:
+        # the schedule draws nothing, so every seed and episode gets these vehicles
+        return ResolvedDemand(multi_hop, tuple(demand_mod.realize(spec, routes.__getitem__)))
+    return ResolvedDemand(multi_hop, spec=spec, routes=routes, seed=section.seed,
+                          vary=section.fresh_each_episode)
 
 
 def build_demand_fn(section: DemandSection, network: NetworkConfig, run_seed: int,

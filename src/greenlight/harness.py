@@ -13,6 +13,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -95,8 +96,20 @@ def make_classic_controllers(cfg: ExperimentConfig, network: NetworkConfig,
     return out
 
 
-def make_agents(network: NetworkConfig, agent_config: AgentConfig,
-                seed: int) -> list[DQNAgent]:
+def make_agents(network: NetworkConfig, agent_config: AgentConfig, seed: int,
+                *, trained: bytes | None = None) -> list[DQNAgent]:
+    """One agent per intersection, each seeded from ``seed`` and its index.
+
+    With ``trained``, the pickled agents of a training with this call's
+    inputs (the same `AgentConfig.training_config`, network and seed), it
+    returns unpickled copies of those instead, each given ``agent_config``,
+    which may differ from theirs only in what deployment alone reads.
+    """
+    if trained is not None:
+        agents = pickle.loads(trained)
+        for agent in agents:
+            agent.config = agent_config
+        return agents
     return [
         DQNAgent(intersection, agent_config, seed=_mix_seed(seed, i))
         for i, intersection in enumerate(network.intersections)
@@ -145,22 +158,49 @@ def evaluate(
 class SeedOutcome:
     rows: list[ResultRow]
     training: TrainingResult | None
+    trained: bytes | None = None   # the agents as training left them, pickled, if kept
+
+
+def _training_inputs(plan: Plan) -> tuple | None:
+    """What training reads from a plan, None for a controller that never
+    trains: the agent's training settings, the network and the training
+    demand (by identity: sweep points share them), the episode count and the
+    horizon.  Points with equal inputs train equal agents for each seed."""
+    cfg = plan.cfg
+    if cfg.controller.kind != "rl":
+        return None
+    return (plan.agent.training_config(), id(plan.network), id(plan.train_demand),
+            cfg.train.episodes, cfg.train.horizon_s or cfg.run.horizon_s)
 
 
 def run_seed(plan: Plan, seed: int, *, controller_label: str | None = None,
-             check: bool = False) -> SeedOutcome:
-    """Train (if learning) and evaluate one seed, returning result rows."""
+             check: bool = False, reuse: SeedOutcome | None = None,
+             keep_trained: bool = False) -> SeedOutcome:
+    """Train (if learning) and evaluate one seed, returning result rows.
+
+    ``reuse``, the kept outcome of this seed under equal training inputs,
+    stands in for training: this run deploys copies of its trained agents and
+    reports its curve.  ``keep_trained`` keeps this run's trained agents on
+    the outcome, pickled before evaluation can change them.
+    """
     cfg, network = plan.cfg, plan.network
     ctrl_kind = cfg.controller.kind
     label = controller_label or ctrl_kind
     horizon = cfg.run.horizon_s
 
-    training = None
+    training = trained = None
     converged_at = None
     if ctrl_kind == "rl":
-        agents = make_agents(network, plan.agent, seed)
-        training = train(agents, network, partial(plan.train_demand.draw, seed), cfg.train.episodes,
-                         cfg.train.horizon_s or horizon, base_seed=_mix_seed(seed, 1))
+        if reuse is None:
+            agents = make_agents(network, plan.agent, seed)
+            training = train(agents, network, partial(plan.train_demand.draw, seed),
+                             cfg.train.episodes, cfg.train.horizon_s or horizon,
+                             base_seed=_mix_seed(seed, 1))
+            if keep_trained:
+                trained = pickle.dumps(agents, pickle.HIGHEST_PROTOCOL)
+        else:
+            agents = make_agents(network, plan.agent, seed, trained=reuse.trained)
+            training = reuse.training
         converged_at = detect_convergence(training.travel_times()).converged_at
         factory = lambda episode: [greedy_controller(a) for a in agents]
     else:
@@ -173,20 +213,35 @@ def run_seed(plan: Plan, seed: int, *, controller_label: str | None = None,
     )
     rows = [ResultRow(label, seed, episode, m.avg_travel_time_s, m.avg_queue, m.throughput,
                       converged_at) for episode, m in enumerate(metrics)]
-    return SeedOutcome(rows=rows, training=training)
+    return SeedOutcome(rows=rows, training=training, trained=trained)
 
 
 def _run_points(plan: Plan, points: Sequence[tuple[str, Plan]], out_dir: str | None,
                 *, check: bool = False) -> tuple[list[ResultRow], list[str]]:
     """Run every seed of every (label, plan) point; writes results.csv, then
-    one training curve per learning point and seed."""
+    one training curve per learning point and seed.
+
+    Each distinct (training inputs, seed) trains once: the first point with
+    those inputs keeps its trained agents until the last point sharing them
+    has run that seed, and the later points deploy copies of them.
+    """
     out_dir = out_dir if out_dir is not None else plan.cfg.run.out_dir
     os.makedirs(out_dir, exist_ok=True)
     rows: list[ResultRow] = []
     written: list[str] = []
-    for label, point in points:
+    inputs = [_training_inputs(point) for _, point in points]
+    # the first point with each point's training inputs
+    sources = [j if key is None else inputs.index(key) for j, key in enumerate(inputs)]
+    kept: dict[tuple[int, int], SeedOutcome] = {}   # (source point, seed) -> its outcome
+    for j, (label, point) in enumerate(points):
+        shared_later = sources[j] in sources[j + 1:]
         for seed in plan.cfg.run.seeds:
-            outcome = run_seed(point, seed, controller_label=label, check=check)
+            key = (sources[j], seed)
+            reuse = kept.get(key) if shared_later else kept.pop(key, None)
+            outcome = run_seed(point, seed, controller_label=label, check=check,
+                               reuse=reuse, keep_trained=reuse is None and shared_later)
+            if outcome.trained is not None:
+                kept[key] = outcome
             rows.extend(outcome.rows)
             if outcome.training is not None:
                 curve_path = os.path.join(out_dir, f"curve_{label}_{seed}.csv")

@@ -10,6 +10,7 @@ tens-of-minutes range; every random stream is seeded, so reruns reproduce
 the printed numbers exactly.
 """
 
+import pickle
 import time
 from fractions import Fraction
 
@@ -352,14 +353,23 @@ def test_trait_ablation_rotated_peak(capsys):
                                    ROT_DEPLOY["window"],
                                    float(ROT_DEPLOY["horizon"]))
 
+    # rl-no-ol trains as rl does (training always learns), so it deploys
+    # copies of rl's trained agents, made as the harness makes them
+    trained = {}
     medians = {}
     for label, overrides in ABLATION_VARIANTS.items():
+        config = AgentConfig(**{**ROT_AGENT, **overrides})
         per_seed = []
         for seed in SMALL_SEEDS:
-            agent = DQNAgent(cfg, AgentConfig(**{**ROT_AGENT, **overrides}),
-                             seed=seed)
-            train([agent], net, train_demand, episodes=ROT_TRAIN["episodes"],
-                  horizon_s=ROT_TRAIN["horizon"], base_seed=1000 + seed)
+            if label == "rl-no-ol":
+                assert config.training_config() == AgentConfig(**ROT_AGENT).training_config()
+                (agent,) = harness.make_agents(net, config, seed, trained=trained.pop(seed))
+            else:
+                agent = DQNAgent(cfg, config, seed=seed)
+                train([agent], net, train_demand, episodes=ROT_TRAIN["episodes"],
+                      horizon_s=ROT_TRAIN["horizon"], base_seed=1000 + seed)
+                if label == "rl":
+                    trained[seed] = pickle.dumps([agent])
             vals = []
             for ep in range(ROT_DEPLOY["episodes"]):
                 res = run_episode(net, [greedy_controller(agent)],

@@ -1,5 +1,8 @@
 """Q-learning agent: encoding, rewards, network heads, replay, control loop."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -354,6 +357,46 @@ def test_replay_rejects_empty_sample_and_bad_capacity():
         mem.sample(1)
 
 
+def filled_memory(capacity: int, pushes: int, dim: int = 3) -> ReplayMemory:
+    mem = ReplayMemory(capacity, dim, np.random.default_rng(5))
+    for i in range(pushes):
+        mem.push(np.full(dim, i + 0.5), i % 2, (i // 2) % 2, -float(i),
+                 np.full(dim, i + 1.5), (i + 1) % 2)
+    return mem
+
+
+def assert_same_memory(a: ReplayMemory, b: ReplayMemory) -> None:
+    assert (a.capacity, a.insertion_count, len(a)) == (b.capacity, b.insertion_count, len(b))
+    for name in ("states", "next_states", "phases", "actions", "rewards", "next_phases"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("pushes", [7, 23])   # part-filled, wrapped past capacity 10
+def test_replay_pickle_restores_the_memory(pushes):
+    mem = filled_memory(10, pushes)
+    restored = pickle.loads(pickle.dumps(mem))
+    assert_same_memory(restored, mem)
+    for m in (mem, restored):   # the same batches, then the same ring slots overwritten
+        m.push(np.full(3, -1.0), 1, 1, 9.0, np.full(3, -2.0), 0)
+    assert_same_memory(restored, mem)
+    for _ in range(3):
+        a, b = mem.sample(6), restored.sample(6)
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+
+def test_replay_pickle_size_follows_the_filled_rows():
+    sizes = {(capacity, pushes): len(pickle.dumps(filled_memory(capacity, pushes)))
+             for capacity in (50, 5000) for pushes in (10, 40)}
+    # a hundredfold capacity adds only the bytes of a larger integer
+    assert abs(sizes[5000, 10] - sizes[50, 10]) <= 8
+    assert abs(sizes[5000, 40] - sizes[50, 40]) <= 8
+    assert sizes[50, 40] - sizes[50, 10] >= 30 * (2 * 3 + 1 + 3) * 8
+    wrapped = pickle.dumps(filled_memory(50, 120))
+    assert len(wrapped) - sizes[50, 40] >= 10 * (2 * 3 + 1 + 3) * 8
+
+
 # -- agent -------------------------------------------------------------------
 
 
@@ -525,3 +568,62 @@ def test_write_curve_csv_golden():
         "episode,steps,avg_travel_time_s,mean_loss,epsilon\n"
         "0,300,40.5,1.25,0.5\n"
     )
+
+
+# -- what training reads ------------------------------------------------------
+
+
+def trained_pair(**overrides) -> list[tuple[DQNAgent, TrainingResult]]:
+    """The same training under online_learning on and off."""
+    inter = build_standard_intersection(2)
+    net = single_intersection_network(inter)
+    from greenlight.demand import ArrivalProcess, generate_uniform
+
+    def demand_fn(episode):
+        return generate_uniform(300.0, list(inter.lanes), 240.0,
+                                process=ArrivalProcess.POISSON, seed=episode)
+
+    out = []
+    for online in (True, False):
+        agent = DQNAgent(inter, AgentConfig(batch_size=8, replay_capacity=300,
+                                            target_sync_interval=50, online_learning=online,
+                                            **overrides), seed=4)
+        out.append((agent, train(agent, net, demand_fn, episodes=2, horizon_s=240,
+                                 base_seed=9)))
+    return out
+
+
+@pytest.mark.parametrize("overrides", [{}, {"guided_sampling": False}])
+def test_online_learning_alone_trains_bit_identical_agents(overrides):
+    (on, on_curve), (off, off_curve) = trained_pair(**overrides)
+    assert on.config.training_config() == off.config.training_config()
+    assert on.memory.insertion_count == 478     # 239 per episode: wrapped past 300
+    assert np.array_equal(on.qnet.theta, off.qnet.theta)
+    assert np.array_equal(on.target.theta, off.target.theta)
+    assert np.array_equal(on.adam.m, off.adam.m) and np.array_equal(on.adam.v, off.adam.v)
+    assert on.adam.step_count == off.adam.step_count == on.learn_steps
+    assert_same_memory(on.memory, off.memory)
+    assert on.action_rng.bit_generator.state == off.action_rng.bit_generator.state
+    assert (on.decision_steps, on.learn_steps) == (off.decision_steps, off.learn_steps)
+    assert on.drain_episode_losses() == off.drain_episode_losses() == []
+    assert [repr(p) for p in on_curve.curve] == [repr(p) for p in off_curve.curve]
+
+
+# a value other than the default for every setting but online_learning
+OTHER_SETTINGS = {
+    "gamma": 0.5, "epsilon_start": 0.9, "epsilon_end": 0.1, "epsilon_decay_steps": 100,
+    "learning_rate": 0.01, "batch_size": 16, "replay_capacity": 100,
+    "target_sync_interval": 10, "decision_interval_s": 2, "hidden_dims": (8,),
+    "occupancy_cells": 2, "guided_sampling": False, "forecast": False,
+    "random_change_prob": 0.5, "state_mode": "occupancy_only", "reward_mode": "delay",
+    "reward_weights": {"queue": 1.0},
+}
+
+
+def test_every_other_setting_changes_the_training_config():
+    names = {f.name for f in dataclasses.fields(AgentConfig)}
+    assert set(OTHER_SETTINGS) == names - {"online_learning"}
+    base = AgentConfig().training_config()
+    assert AgentConfig(online_learning=False).training_config() == base
+    for name, value in OTHER_SETTINGS.items():
+        assert AgentConfig(**{name: value}).training_config() != base, name

@@ -28,7 +28,7 @@ from greenlight.config import (
     resolve,
 )
 from greenlight.core import Approach, ConfigError, LaneId, Movement
-from greenlight.demand import generate_uniform
+from greenlight.demand import generate_uniform, straight_route
 from test_demand import write_demand_csv
 
 
@@ -284,8 +284,8 @@ def test_plan_trains_on_the_demand_section_over_the_training_horizon(tmp_path):
     doc = {"demand": {"rate_vph": 360.0}, "controller": {"kind": "rl"},
            "run": {"horizon_s": 60}, "train": {"horizon_s": 600}}
     plan = resolve(parse_config(doc))
-    assert (plan.demand.spec.horizon_s, plan.train_demand.spec.horizon_s) == (60, 600)
-    assert len(plan.train_demand.draw(0, 0)) == 240   # one per 10 s on four lanes
+    # one per 10 s on four lanes, over each horizon
+    assert (len(plan.demand.draw(0, 0)), len(plan.train_demand.draw(0, 0))) == (24, 240)
     path = tmp_path / "demand.csv"
     write_demand_csv(path, plan.demand.draw(0, 0))
     for same in ({"train": {"horizon_s": 60}}, {"controller": {"kind": "fixedtime"}},
@@ -295,7 +295,7 @@ def test_plan_trains_on_the_demand_section_over_the_training_horizon(tmp_path):
     # a sweep point that starts to train gets the training horizon's demand
     fixed = resolve(parse_config({**doc, "controller": {"kind": "fixedtime"}}))
     learner = fixed.with_controller(dataclasses.replace(fixed.cfg.controller, kind="rl"))
-    assert learner.train_demand.spec.horizon_s == 600
+    assert len(learner.train_demand.draw(0, 0)) == 240
 
 
 def test_resolve_checks_each_peaked_sections_windows_once(monkeypatch):
@@ -310,6 +310,30 @@ def test_resolve_checks_each_peaked_sections_windows_once(monkeypatch):
     resolve(parse_config({"network": {"kind": "grid", "rows": 1, "cols": 2},
                           "demand": PEAKED_1X2, "deploy_demand": PEAKED_1X2}))
     assert calls == ["demand.peak_windows", "deploy_demand.peak_windows"]
+
+
+def test_a_deterministic_demand_is_realized_once_per_run(tmp_path, monkeypatch):
+    cfg = parse_config({"network": {"kind": "grid", "rows": 2, "cols": 2},
+                        "demand": {"rate_vph": 550.0},
+                        "run": {"horizon_s": 120, "episodes": 2, "seeds": [0, 1, 2],
+                                "out_dir": str(tmp_path)}})
+    network = build_network(cfg)
+    expected = generate_uniform(550.0, config_mod._entry_lanes(network), 120.0,
+                                route_for_lane=lambda lane: straight_route(network, lane))
+    calls = []
+    realize = config_mod.demand_mod.realize
+
+    def counted(spec, route_for_lane=None):
+        calls.append(spec.process.value)
+        return realize(spec, route_for_lane)
+
+    monkeypatch.setattr(config_mod.demand_mod, "realize", counted)
+    harness.run_experiment(cfg)
+    assert calls == ["deterministic"]   # 6 episodes drew it
+    plan = resolve(cfg)
+    for seed, episode in ((0, 0), (3, 1), (3, 10_000)):
+        assert plan.demand.draw(seed, episode) == expected
+    assert len(calls) == 2
 
 
 def test_a_pickled_plan_draws_the_same_vehicles(tmp_path):

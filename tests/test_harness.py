@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -357,6 +358,49 @@ def test_run_sweep_ablation_points_equal_runs_with_the_variant_overrides(tmp_pat
         for seed in (0, 1):
             assert ((tmp_path / "sweep" / f"curve_{label}_{seed}.csv").read_bytes()
                     == (tmp_path / label / f"curve_rl_{seed}.csv").read_bytes())
+
+
+def test_run_sweep_ablation_trains_once_per_distinct_training_input(tmp_path, monkeypatch):
+    cfg = rl_cfg(tmp_path, train_episodes=1)
+    cfg.run.seeds = [0, 1]
+    cfg.sweep = SweepSection("ablation")
+    trained, made = [], []
+    real_train, real_make = harness.train, harness.make_agents
+
+    def counted_train(agents, *args, **kwargs):
+        trained.append(agents[0].config)
+        return real_train(agents, *args, **kwargs)
+
+    def counted_make(*args, **kwargs):
+        agents = real_make(*args, **kwargs)
+        made.append((kwargs.get("trained") is not None, agents))
+        return agents
+
+    monkeypatch.setattr(harness, "train", counted_train)
+    monkeypatch.setattr(harness, "make_agents", counted_make)
+    harness.run_sweep(cfg)
+    # rl, rl-no-sg and rl-no-f train for each seed; rl-no-ol deploys copies of rl's agents
+    assert [(c.online_learning, c.guided_sampling, c.forecast) for c in trained] == (
+        [(True, True, True)] * 2 + [(True, False, True)] * 2 + [(True, True, False)] * 2)
+    assert [copied for copied, _ in made] == [False, False, True, True, False, False, False, False]
+    agents = [a for _, point_agents in made for a in point_agents]
+    assert len({id(a) for a in agents}) == 8
+    assert [a.config.online_learning for a in agents] == [True, True, False, False] + [True] * 4
+
+
+def test_make_agents_copies_trained_agents_with_the_given_config():
+    from greenlight.agent import AgentConfig
+
+    net = build_grid_network(1, 2, build_standard_intersection(2))
+    agents = harness.make_agents(net, AgentConfig(hidden_dims=(8,)), seed=3)
+    snapshot = pickle.dumps(agents)
+    frozen = AgentConfig(hidden_dims=(8,), online_learning=False)
+    copies = harness.make_agents(net, frozen, 99, trained=snapshot)
+    for agent, copy in zip(agents, copies, strict=True):
+        assert copy is not agent and copy.config is frozen
+        assert np.array_equal(copy.qnet.theta, agent.qnet.theta)
+        copy.qnet.theta += 1.0
+        assert not np.array_equal(copy.qnet.theta, agent.qnet.theta)
 
 
 def test_run_sweep_rejects_a_bad_point_before_any_seed_runs(tmp_path, monkeypatch):
